@@ -1,21 +1,17 @@
-// Distributed-scalability experiment (the paper's §V-B argument and §VII
-// future work, on the simulated BSP/KLA substrate): for rank counts
-// 2..64, compare classic BSP DO-LP against KLA-Thrifty (local fixed
-// point + Zero Planting + Zero Convergence) on supersteps, message
-// volume, and local edge work.  Shape claims: KLA-Thrifty needs a small,
-// near-constant number of supersteps while BSP supersteps track the
-// propagation depth; Thrifty's techniques cut the message volume; both
-// return exact components (verified).
-//
-// The second section measures the *out-of-core* sharded solver
-// (src/shard/): each dataset is persisted as a sharded snapshot and
-// solved by streaming shard CSRs through the windowed mmap residency
-// policy, for shard counts 1..8 and for a tight memory budget (one
-// shard's worth).  Shape claims: shard-local sweep time scales with
-// shard size while the boundary exchange (reported separately) stays a
-// small fraction; the budgeted run keeps the resident window at one
-// shard at the cost of reloads.  `--json <path>` dumps the sharded rows
-// for scripts/bench_compare.py.
+// Out-of-core sharded scalability (the paper's §V-B argument and §VII
+// future work, measured on the one distributed path the repo has, the
+// sharded solver of src/shard/): each dataset is persisted as a
+// sharded snapshot and solved by streaming shard CSRs through the
+// windowed mmap residency policy, for shard counts 1..8 and for a
+// tight memory budget (one shard's worth).  Round 0 solves every shard
+// with Thrifty; later rounds exchange boundary labels.  Besides the
+// sweep/exchange time split the table reports the exchange volume:
+// rounds, boundary-slot updates, and the bytes those updates would put
+// on a wire as (slot, label) pairs of 8 bytes each.  Shape claims:
+// shard-local sweep time scales with shard size while the boundary
+// exchange (reported separately) stays a small fraction; the budgeted
+// run keeps the resident window at one shard at the cost of reloads.
+// `--json <path>` dumps the sharded rows for scripts/bench_compare.py.
 #include <unistd.h>
 
 #include <cstdio>
@@ -26,7 +22,6 @@
 #include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "core/verify.hpp"
-#include "dist/dist_lp.hpp"
 #include "shard/manifest.hpp"
 #include "shard/shard.hpp"
 #include "shard/solver.hpp"
@@ -37,43 +32,9 @@ namespace {
 
 using namespace thrifty;  // NOLINT(google-build-using-namespace)
 
-void run_dataset(const char* name, support::Scale scale) {
-  const auto* spec = bench::find_dataset(name);
-  const graph::CsrGraph g = bench::build_dataset(*spec, scale);
-  std::printf("\nDataset: %s (%u vertices, %llu directed edges)\n", name,
-              g.num_vertices(),
-              static_cast<unsigned long long>(g.num_directed_edges()));
-  bench::TablePrinter table({"Ranks", "BSP steps", "KLA steps",
-                             "BSP msgs", "KLA msgs", "BSP MB", "KLA MB",
-                             "Msg reduction"});
-  for (const int ranks : {2, 4, 8, 16, 32, 64}) {
-    const auto bsp =
-        dist::distributed_lp_cc(g, dist::bsp_dolp_config(ranks));
-    const auto kla =
-        dist::distributed_lp_cc(g, dist::kla_thrifty_config(ranks));
-    if (!core::verify_labels(g, bsp.label_span()).valid ||
-        !core::verify_labels(g, kla.label_span()).valid) {
-      std::fprintf(stderr, "FATAL: wrong distributed result\n");
-      std::abort();
-    }
-    const double reduction =
-        bsp.total_messages > 0
-            ? 1.0 - static_cast<double>(kla.total_messages) /
-                        static_cast<double>(bsp.total_messages)
-            : 0.0;
-    table.add_row(
-        {std::to_string(ranks), std::to_string(bsp.supersteps),
-         std::to_string(kla.supersteps),
-         std::to_string(bsp.total_messages),
-         std::to_string(kla.total_messages),
-         bench::TablePrinter::fmt_ratio(
-             static_cast<double>(bsp.total_bytes) / 1e6),
-         bench::TablePrinter::fmt_ratio(
-             static_cast<double>(kla.total_bytes) / 1e6),
-         bench::TablePrinter::fmt_percent(reduction)});
-  }
-  table.print();
-}
+/// Wire size of one boundary update: a 4-byte slot id plus a 4-byte
+/// label.
+constexpr double kBytesPerBoundaryUpdate = 8.0;
 
 /// One streaming sharded solve over a persisted snapshot; aborts on a
 /// wrong partition so the bench doubles as a correctness gate.
@@ -98,6 +59,10 @@ void run_sharded_row(const graph::CsrGraph& g,
                  bench::TablePrinter::fmt_ms(stats.sweep_ms),
                  bench::TablePrinter::fmt_ms(stats.exchange_ms),
                  std::to_string(stats.rounds),
+                 std::to_string(stats.boundary_updates),
+                 bench::TablePrinter::fmt_ratio(
+                     static_cast<double>(stats.boundary_updates) *
+                     kBytesPerBoundaryUpdate / 1e6),
                  std::to_string(stats.shard_loads),
                  std::to_string(stats.evictions),
                  bench::TablePrinter::fmt_ratio(
@@ -121,7 +86,8 @@ void run_sharded_dataset(const char* name, support::Scale scale,
       ("bench_dist_shards_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   bench::TablePrinter table({"Shards", "Solve", "Sweep", "Exchange",
-                             "Rounds", "Loads", "Evict", "Window MiB"});
+                             "Rounds", "Updates", "Exchange MB", "Loads",
+                             "Evict", "Window MiB"});
   for (const int k : {1, 2, 4, 8}) {
     const shard::ShardedGraph sharded = shard::partition_shards(g, k);
     const std::string manifest_path =
@@ -148,21 +114,9 @@ void run_sharded_dataset(const char* name, support::Scale scale,
 int run(int argc, char** argv) {
   const auto scale = support::bench_scale();
   bench::print_banner(
-      std::string("Distributed simulation: BSP DO-LP vs KLA-Thrifty "
-                  "(§V-B / §VII; scale: ") +
+      std::string("Out-of-core sharded solve: streaming window over a "
+                  "persisted sharded snapshot (§V-B / §VII; scale: ") +
       support::to_string(scale) + ")");
-  run_dataset("twitter", scale);
-  run_dataset("webbase", scale);
-  run_dataset("gb_road", scale);
-  std::printf(
-      "\nShape check: KLA-Thrifty supersteps stay small and nearly flat "
-      "in the rank count; BSP supersteps track propagation depth "
-      "(largest on the road grid); Thrifty's techniques reduce message "
-      "volume on the skewed graphs.\n");
-
-  bench::print_banner(
-      "Out-of-core sharded solve: streaming window over a persisted "
-      "sharded snapshot");
   bench::JsonReport report;
   run_sharded_dataset("twitter", scale, report);
   run_sharded_dataset("gb_road", scale, report);

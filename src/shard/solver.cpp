@@ -5,14 +5,12 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/thrifty.hpp"
 #include "io/binary_io.hpp"
 #include "io/mmap_io.hpp"
-#include "plan/plan.hpp"
-#include "plan/solve.hpp"
 #include "support/parallel.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
@@ -62,11 +60,11 @@ class InMemoryProvider final : public ShardProvider {
 
 /// Streaming provider: cut sidecars load once and stay resident; shard
 /// CSRs are mapped on demand and windowed.  Eviction is FIFO — the
-/// oldest resident shard is the one furthest behind the sweep — and
-/// applies MADV_DONTNEED before unmapping so the pages leave the
-/// process immediately.  The budget is clamped up to the largest
-/// single shard: the sweep must always be able to hold the shard it is
-/// working on.
+/// oldest resident shard is the one furthest behind the sweep — runs
+/// before the new shard is mapped, and applies MADV_DONTNEED before
+/// unmapping so the pages leave the process immediately.  The budget
+/// is clamped up to the largest single shard: the sweep must always be
+/// able to hold the shard it is working on.
 class StreamingProvider final : public ShardProvider {
  public:
   StreamingProvider(const ShardManifest& manifest,
@@ -140,6 +138,15 @@ class StreamingProvider final : public ShardProvider {
   void load(int k) {
     auto& slot = resident_[static_cast<std::size_t>(k)];
     if (slot) return;
+    // Make room first, so the window never exceeds the budget.  Nothing
+    // holds a CSR reference across a load (prefetch never evicts), and
+    // the budget holds the largest shard, so the loop always ends with
+    // room for shard k.
+    while (budget_ != 0 && !fifo_.empty() &&
+           resident_bytes_ + charge(k) > budget_) {
+      evict(fifo_.front());
+      fifo_.pop_front();
+    }
     const ShardMeta& meta = manifest_.shards[static_cast<std::size_t>(k)];
     io::MappedCsr mapped;
     if (use_mmap_) {
@@ -158,17 +165,6 @@ class StreamingProvider final : public ShardProvider {
     resident_bytes_ += charge(k);
     peak_window_bytes_ = std::max(peak_window_bytes_, resident_bytes_);
     ++shard_loads_;
-    while (budget_ != 0 && resident_bytes_ > budget_ && fifo_.size() > 1) {
-      const int victim = fifo_.front();
-      fifo_.pop_front();
-      if (victim == k) {
-        // Never evict the shard being acquired; it moves to the young
-        // end of the window instead.
-        fifo_.push_back(victim);
-        continue;
-      }
-      evict(victim);
-    }
   }
 
   void evict(int k) {
@@ -229,15 +225,6 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
                       const ShardedCcOptions& options) {
   ShardedCcResult result;
   result.labels = core::make_label_array(num_vertices);
-  // Parse the round-0 plan spec once, up front; a recorded trace
-  // describes a single whole-graph solve and cannot drive per-shard
-  // interiors, so replay mode is a configuration error here.
-  const plan::PlanSpec round0_plan = plan::parse_plan_spec(options.plan);
-  if (round0_plan.mode == plan::PlanSpec::Mode::kReplay) {
-    throw std::runtime_error(
-        "sharded solve does not support replay plans (got '" +
-        options.plan + "'); use auto or fixed:<spec>");
-  }
   const int num_shards = provider.num_shards();
   const SimdLevel simd_level = support::simd::effective_level();
   support::AccumulatingTimer sweep_timer;
@@ -258,8 +245,7 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
     const graph::CsrGraph& local = provider.csr(k);
 
     sweep_timer.start();
-    const core::CcResult local_result =
-        plan::solve_with_plan(local, options.cc, round0_plan).result;
+    const core::CcResult local_result = core::thrifty_cc(local, options.cc);
     const std::vector<Label> canon =
         core::canonical_labels(local_result.label_span());
     Label* owned = result.labels.data() + shard.begin;

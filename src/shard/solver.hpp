@@ -2,17 +2,15 @@
 //
 // The solve runs shard-by-shard over the decomposition of shard.hpp:
 //
-//   Round 0   Every shard is solved *locally* through the plan layer
-//             (src/plan/): the shard's plan spec — "auto" by default,
-//             which hands each intra-shard CSR to the adaptive planner
-//             (including its barrier-free async band), or any
-//             "fixed:<spec>" sequence threaded down from
-//             `thrifty_cc --shards --plan=...`.  The
-//             local labelling is canonicalised, so each owned vertex
-//             ends up labelled with the global id of the smallest
-//             vertex in its *shard-local* component, and every owned
-//             boundary vertex publishes that label into its slot of
-//             the global boundary-label table.
+//   Round 0   Every shard is solved *locally* with core::thrifty_cc,
+//             the paper's unified-label solver (Zero Planting at the
+//             shard's max-degree vertex, Zero Convergence, density
+//             driven push/pull).  The local labelling is
+//             canonicalised, so each owned vertex ends up labelled
+//             with the global id of the smallest vertex in its
+//             *shard-local* component, and every owned boundary
+//             vertex publishes that label into its slot of the global
+//             boundary-label table.
 //
 //   Round r   For every shard: min-merge the boundary table into the
 //             owned labels along the shard's cut pairs (frontier
@@ -40,12 +38,12 @@
 // The streaming variant loads shard CSRs through the windowed mmap
 // residency policy: cut sidecars (compact) stay in RAM for the whole
 // solve, CSRs are mapped on demand with MADV_WILLNEED prefetch of the
-// next shard and evicted FIFO — MADV_DONTNEED then munmap — whenever
-// the resident window exceeds the memory budget.
+// next shard, and before a load that would push the resident window
+// past the memory budget the oldest shards are evicted FIFO —
+// MADV_DONTNEED then munmap — so the window never exceeds it.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/cc_common.hpp"
 #include "shard/manifest.hpp"
@@ -54,16 +52,8 @@
 namespace thrifty::shard {
 
 struct ShardedCcOptions {
-  /// Options for the round-0 shard-local solves.
+  /// Options for the round-0 core::thrifty_cc shard-local solves.
   core::CcOptions cc;
-  /// Plan spec for the round-0 shard-local solves, in
-  /// plan::parse_plan_spec syntax ("auto", "fixed:pull*2,finish",
-  /// "fixed:async", ...).  Every shard canonicalises its local
-  /// labelling, so the spec changes the round-0 schedule, never the
-  /// result.  Replay specs are rejected (a recorded trace describes one
-  /// whole-graph solve, not per-shard interiors); the solve throws
-  /// std::runtime_error on a malformed or replay spec.
-  std::string plan = "auto";
   /// Residency budget in bytes for the streaming (manifest) variant:
   /// the resident shard-CSR window is kept at or below this, evicting
   /// FIFO behind the sweep.  0 = unlimited (shards stay mapped once

@@ -451,7 +451,6 @@ std::optional<OracleFailure> check_sharded_solve(
   config.placement = setup.placement;
   config.simd = setup.simd;
   config.numa_steal = setup.numa_steal;
-  config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
       setup.threads > 0 ? setup.threads : support::num_threads());

@@ -1,13 +1,12 @@
 // Cross-cutting behaviours not pinned down by the per-module suites:
-// engine direction scheduling, distributed technique toggles in
-// isolation, registry threshold policy, and assorted edge cases.
+// engine direction scheduling, registry threshold policy, and assorted
+// edge cases.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "cc_baselines/registry.hpp"
 #include "core/verify.hpp"
-#include "dist/dist_lp.hpp"
 #include "gen/combine.hpp"
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
@@ -68,44 +67,6 @@ TEST(SpmvScheduling, ZeroThresholdMeansNoPush) {
                 std::vector<graph::Label>(result.values.begin(),
                                           result.values.end())),
             1u);
-}
-
-TEST(DistToggles, PlantingAloneAndZeroConvAloneStayCorrect) {
-  gen::RmatParams params;
-  params.scale = 11;
-  params.edge_factor = 6;
-  const CsrGraph g = graph::build_csr(gen::rmat_edges(params)).graph;
-  for (const bool plant : {false, true}) {
-    for (const bool zero : {false, true}) {
-      dist::DistOptions options;
-      options.ranks = 8;
-      options.k_level = 2;
-      options.async_local = plant;  // mix semantics too
-      options.zero_planting = plant;
-      options.zero_convergence = zero;
-      const auto result = dist::distributed_lp_cc(g, options);
-      EXPECT_TRUE(core::verify_labels(g, result.label_span()).valid)
-          << result.config;
-    }
-  }
-}
-
-TEST(DistToggles, DeeperKNeverNeedsMoreSupersteps) {
-  const CsrGraph g = star_with_tail();
-  int previous = 0;
-  bool first = true;
-  for (const int k : {1, 2, 4, 8, 0}) {  // 0 = unbounded
-    dist::DistOptions options = dist::bsp_dolp_config(4);
-    options.k_level = k;
-    options.async_local = true;  // make k the only variable of depth
-    const auto result = dist::distributed_lp_cc(g, options);
-    EXPECT_TRUE(core::verify_labels(g, result.label_span()).valid);
-    if (!first && k != 0) {
-      EXPECT_LE(result.supersteps, previous) << "k=" << k;
-    }
-    if (k != 0) previous = result.supersteps;
-    first = false;
-  }
 }
 
 TEST(RegistryPolicy, RunAlgorithmAppliesOwnThreshold) {

@@ -32,11 +32,10 @@
 // the input runs the *streaming* sharded solver instead: shard CSRs
 // are windowed through the mmap residency policy, and
 // --memory-budget caps the resident window (accepts k/m/g suffixes;
-// 0 or absent = unlimited).  Sharded runs accept --plan for the
-// round-0 shard-local solves (default auto; replay specs are rejected
-// — a trace describes one whole-graph solve) but are exclusive with
-// --algo/--plan-trace/--reorder; --verify needs the whole graph and
-// is only available for the in-memory form.
+// 0 or absent = unlimited).  Every shard's round-0 local solve is
+// Thrifty, so sharded runs reject --algo/--plan/--plan-trace/--reorder
+// (exit 2); --verify needs the whole graph and is only available for
+// the in-memory form.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -141,32 +140,13 @@ int finish_sharded(const tools::ArgParser& args,
 
 /// --shards=K / .shards-manifest entry point.
 int run_sharded(const tools::ArgParser& args, bool manifest_input) {
-  for (const char* flag : {"algo", "plan-trace", "reorder"}) {
+  for (const char* flag : {"algo", "plan", "plan-trace", "reorder"}) {
     if (args.flag(flag)) {
       std::fprintf(stderr, "--%s does not apply to sharded runs\n", flag);
       return 2;
     }
   }
   shard::ShardedCcOptions options;
-  // --plan drives the round-0 shard-local solves.  Validate here so a
-  // typo fails with a usage message instead of an exception from the
-  // solver; replay mode is rejected by the solver itself, but catching
-  // it here keeps the error channel consistent.
-  if (const auto plan_text = args.flag("plan")) {
-    try {
-      const plan::PlanSpec spec = plan::parse_plan_spec(*plan_text);
-      if (spec.mode == plan::PlanSpec::Mode::kReplay) {
-        std::fprintf(stderr,
-                     "--plan=replay:<file> does not apply to sharded "
-                     "runs (use auto or fixed:<spec>)\n");
-        return 2;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --plan value: %s\n", e.what());
-      return 2;
-    }
-    options.plan = *plan_text;
-  }
   if (const double threshold = args.flag_double("threshold", -1.0);
       threshold >= 0.0) {
     options.cc.density_threshold = threshold;
