@@ -4,11 +4,13 @@
 //                       social-network shape, where the sampled-giant
 //                       cutover and density switching both fire,
 //   * hub_star        — a single hub owning almost every edge: the
-//                       degenerate skew that hub splitting exists for,
+//                       degenerate skew that keeps the planner on
+//                       synchronous sweeps,
 //   * two_clique_bridge — two dense blocks joined by one edge: high
 //                       density, no useful frontier sparsity,
 //   * uniform         — flat-quadrant R-MAT (a = b = c = d = 0.25):
-//                       no skew, so the profile must *not* split hubs.
+//                       no skew, so mid-density sweeps may take the
+//                       async drain.
 // The plan column sweeps the fixed strategy scripts plus the
 // barrier-free async drain (fixed:async); every (scenario, plan) pair
 // is cross-checked against the union-find reference partition before

@@ -3,14 +3,10 @@
 //   * CSR build: per-thread counting sort vs the atomic-degree two-pass
 //     scatter (the previous builder, preserved verbatim below),
 //   * snapshot load: zero-copy mmap vs the copying stream loader,
-//   * push iteration over a star-dominated R-MAT graph: hub-split +
-//     inline frontier mass vs unsplit consumption + serial mass rescan,
 //   * CSR relabel: parallel counting-sort apply_permutation vs the
 //     previous serial scatter + per-vertex std::sort rebuild,
 //   * pull sweep locality: the same min-gather sweep on original vs
 //     degree-reordered vertex ids (identical work, denser gathers),
-//   * end-to-end thrifty_cc on the twitter stand-in (with and without
-//     hub splitting),
 //   * plan-driven solves on the star-dominated graph: the static
 //     pullf+push script vs the adaptive auto plan, and
 //     barrier-synchronous pull sweeps vs the barrier-free async drain
@@ -24,14 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_common/datasets.hpp"
 #include "bench_common/harness.hpp"
 #include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "core/cc_common.hpp"
-#include "core/thrifty.hpp"
-#include "frontier/hub_chunks.hpp"
-#include "frontier/local_worklists.hpp"
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
@@ -44,7 +36,6 @@
 #include "support/env.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/run_config.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
 #include "support/uninit_vector.hpp"
@@ -180,8 +171,7 @@ int scale_to_rmat_scale(support::Scale scale) {
 }
 
 /// R-MAT plus a full star overlaid on the same id space: a graph whose
-/// biggest hub owns >1/3 of all directed edges — the degenerate shape hub
-/// splitting exists for.
+/// biggest hub owns >1/3 of all directed edges.
 EdgeList star_dominated_edges(int rmat_scale) {
   gen::RmatParams params;
   params.scale = rmat_scale;
@@ -216,72 +206,6 @@ void expect_same_graph(const CsrGraph& a, const CsrGraph& b) {
     std::fprintf(stderr, "FATAL: builders disagree — refusing to time\n");
     std::abort();
   }
-}
-
-/// One push iteration with a full-graph frontier.  `split` selects the
-/// optimised path (hub chunks + inline mass) or the baseline (unsplit
-/// consumption followed by the old serial O(frontier) mass rescan).
-/// Returns the (vertices, edges) mass of the built frontier so the two
-/// paths can be cross-checked and the work cannot be optimised away.
-frontier::LocalWorklists::Mass push_iteration(
-    const CsrGraph& g, core::LabelArray& labels,
-    frontier::LocalWorklists& current, frontier::LocalWorklists& next,
-    bool split) {
-  const auto degree_of = [&g](VertexId v) { return g.degree(v); };
-  frontier::LocalWorklists::Mass mass;
-  if (split) {
-    const EdgeOffset threshold = frontier::hub_split_threshold(
-        g.num_directed_edges(), support::num_threads());
-    const auto push_along = [&](int t, Label lv,
-                                std::span<const VertexId> nbrs) {
-      for (const VertexId u : nbrs) {
-        if (core::atomic_min(labels[u], lv)) next.push(t, u, g.degree(u));
-      }
-    };
-    current.process_with_stealing_split(
-        threshold, degree_of,
-        [&](int t, VertexId v) {
-          push_along(t, core::load_label(labels[v]), g.neighbors(v));
-        },
-        [&](int t, VertexId v, EdgeOffset begin, EdgeOffset end) {
-          push_along(t, core::load_label(labels[v]),
-                     g.neighbors(v).subspan(begin, end - begin));
-        });
-    mass = next.mass();
-  } else {
-    current.process_with_stealing([&](int t, VertexId v) {
-      const Label lv = core::load_label(labels[v]);
-      for (const VertexId u : g.neighbors(v)) {
-        if (core::atomic_min(labels[u], lv)) next.push(t, u);
-      }
-    });
-    // The pre-PR frontier-mass accounting: a serial rescan of every list.
-    for (int t = 0; t < next.num_threads(); ++t) {
-      for (const VertexId v : next.list(t)) {
-        ++mass.vertices;
-        mass.edges += g.degree(v);
-      }
-    }
-  }
-  return mass;
-}
-
-double time_push(const CsrGraph& g, bool split, int trials,
-                 std::uint64_t* mass_out) {
-  const VertexId n = g.num_vertices();
-  const int threads = support::num_threads();
-  frontier::LocalWorklists current(n, threads);
-  frontier::LocalWorklists next(n, threads);
-  for (VertexId v = 0; v < n; ++v) current.push(0, v, g.degree(v));
-  core::LabelArray labels(n);
-  frontier::LocalWorklists::Mass mass;
-  const double ms = min_time_ms(trials, [&] {
-    next.clear();
-    support::parallel_for(n, [&](VertexId v) { labels[v] = v; });
-    mass = push_iteration(g, labels, current, next, split);
-  });
-  *mass_out = mass.vertices + mass.edges;
-  return ms;
 }
 
 int run(int argc, char** argv) {
@@ -346,31 +270,6 @@ int run(int argc, char** argv) {
                    bench::TablePrinter::fmt_ms(stream_ms),
                    bench::TablePrinter::fmt_ms(mmap_ms),
                    bench::TablePrinter::fmt_ratio(stream_ms / mmap_ms)});
-  }
-
-  // --- Push iteration over the star-dominated graph.
-  {
-    const CsrGraph g = graph::build_csr(edges, id_space).graph;
-    std::uint64_t mass_baseline = 0;
-    std::uint64_t mass_optimized = 0;
-    const double baseline_ms =
-        time_push(g, /*split=*/false, trials, &mass_baseline);
-    const double optimized_ms =
-        time_push(g, /*split=*/true, trials, &mass_optimized);
-    if (mass_baseline != mass_optimized) {
-      std::fprintf(stderr,
-                   "FATAL: push paths built different frontiers "
-                   "(%llu vs %llu)\n",
-                   static_cast<unsigned long long>(mass_baseline),
-                   static_cast<unsigned long long>(mass_optimized));
-      std::abort();
-    }
-    report.add_comparison("push_star_dominated", baseline_ms, optimized_ms);
-    table.add_row({"push_star_dominated",
-                   bench::TablePrinter::fmt_ms(baseline_ms),
-                   bench::TablePrinter::fmt_ms(optimized_ms),
-                   bench::TablePrinter::fmt_ratio(baseline_ms /
-                                                  optimized_ms)});
   }
 
   // --- Dense kernels of the SIMD layer: forced scalar vs the widest
@@ -590,28 +489,6 @@ int run(int argc, char** argv) {
                    bench::TablePrinter::fmt_ms(optimized_ms),
                    bench::TablePrinter::fmt_ratio(baseline_ms /
                                                   optimized_ms)});
-  }
-
-  // --- End-to-end thrifty_cc on the twitter stand-in; "baseline" runs
-  // with hub splitting disabled (threshold above any degree), the
-  // optimised run with the default threshold.
-  {
-    const auto* spec = bench::find_dataset("twitter");
-    const CsrGraph g = bench::build_dataset(*spec, scale);
-    support::RunConfig nosplit = support::run_config();
-    nosplit.hub_split_degree = 1'000'000'000;
-    double nosplit_ms = 0.0;
-    {
-      const support::RunConfigOverride scope(nosplit);
-      nosplit_ms = min_time_ms(trials, [&] { (void)core::thrifty_cc(g); });
-    }
-    const double split_ms =
-        min_time_ms(trials, [&] { (void)core::thrifty_cc(g); });
-    report.add_comparison("thrifty_twitter_e2e", nosplit_ms, split_ms);
-    table.add_row({"thrifty_twitter_e2e (split off/on)",
-                   bench::TablePrinter::fmt_ms(nosplit_ms),
-                   bench::TablePrinter::fmt_ms(split_ms),
-                   bench::TablePrinter::fmt_ratio(nosplit_ms / split_ms)});
   }
 
   // --- Adaptive planner on the star-dominated graph: the

@@ -6,11 +6,9 @@
 #include "core/lp_internal.hpp"
 #include "frontier/bitmap.hpp"
 #include "frontier/density.hpp"
-#include "frontier/hub_chunks.hpp"
 #include "frontier/sliding_queue.hpp"
 #include "instrument/counters.hpp"
 #include "support/assert.hpp"
-#include "support/parallel.hpp"
 #include "support/prefetch.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
@@ -62,9 +60,6 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
   frontier::SlidingQueue queue(n);    // collects the next frontier
   frontier::SlidingQueue actives(n);  // window consumed by push iterations
 
-  const EdgeOffset hub_threshold =
-      frontier::hub_split_threshold(m, support::num_threads());
-  const auto degree_of = [&g](VertexId v) { return g.degree(v); };
   // Kernel level for the dense pull sweeps (see thrifty.cpp).
   const support::SimdLevel simd_level =
       support::simd::gather_level(support::simd::effective_level(), n);
@@ -94,19 +89,18 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
 
     if (sparse) {
       // Push traversal (Lines 9-12): propagate each active vertex's label
-      // to its neighbours with atomic_min.  Hubs — vertices whose degree
-      // exceeds hub_threshold — are stashed during the vertex-parallel
-      // sweep and re-traversed edge-parallel afterwards, so one
-      // high-degree vertex cannot serialise the iteration.
+      // to its neighbours with atomic_min.
       rec.direction = Direction::kPush;
       const auto window = actives.window();
-      frontier::HubChunks hubs(support::num_threads());
 #pragma omp parallel reduction(+ : changes, changed_edges)
       {
-        const int t = support::thread_id();
         frontier::SlidingQueue::LocalBuffer buffer(queue);
-        const auto push_label_along = [&](Label lv,
-                                          std::span<const VertexId> nbrs) {
+#pragma omp for schedule(dynamic, 64) nowait
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          const VertexId v = window[i];
+          counters.label_read();
+          const Label lv = kUnified ? load_label(new_lbs[v]) : old_lbs[v];
+          const auto nbrs = g.neighbors(v);
           for (std::size_t j = 0; j < nbrs.size(); ++j) {
             if (j + support::kPrefetchDistance < nbrs.size()) {
               support::prefetch_write(
@@ -126,30 +120,7 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
               }
             }
           }
-        };
-#pragma omp for schedule(dynamic, 64)
-        for (std::size_t i = 0; i < window.size(); ++i) {
-          const VertexId v = window[i];
-          if (g.degree(v) > hub_threshold) {
-            hubs.collect(t, v);
-            continue;
-          }
-          counters.label_read();
-          const Label lv = kUnified ? load_label(new_lbs[v]) : old_lbs[v];
-          push_label_along(lv, g.neighbors(v));
         }
-        // The worksharing barrier above guarantees every hub is collected
-        // before one thread builds the chunk index.
-#pragma omp single
-        hubs.finalize(degree_of);
-        hubs.drain(t, degree_of,
-                   [&](int, VertexId v, EdgeOffset begin, EdgeOffset end) {
-                     counters.label_read();
-                     const Label lv =
-                         kUnified ? load_label(new_lbs[v]) : old_lbs[v];
-                     push_label_along(
-                         lv, g.neighbors(v).subspan(begin, end - begin));
-                   });
       }
     } else {
       // Pull traversal (Lines 13-20): every vertex recomputes its label as

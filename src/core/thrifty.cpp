@@ -9,7 +9,6 @@
 
 #include "core/lp_internal.hpp"
 #include "frontier/density.hpp"
-#include "frontier/hub_chunks.hpp"
 #include "frontier/local_worklists.hpp"
 #include "partition/scheduler.hpp"
 #include "instrument/counters.hpp"
@@ -145,11 +144,6 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
   frontier::LocalWorklists current(n, threads);
   frontier::LocalWorklists next(n, threads);
   partition::PartitionScheduler scheduler(g, options.partitions_per_thread);
-  // Frontier vertices above this degree are traversed edge-parallel
-  // during push so one hub cannot serialise an iteration.
-  const EdgeOffset hub_threshold =
-      frontier::hub_split_threshold(m, threads);
-  const auto degree_of = [&g](VertexId v) { return g.degree(v); };
 
   std::uint64_t active_vertices = 0;
   std::uint64_t active_edges = 0;
@@ -241,41 +235,29 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
 
     if (sparse && have_frontier && full_pull_done) {
       // --- Push traversal over the detailed frontier, consumed with the
-      // paper's per-thread worklists + work stealing.  Hub adjacency
-      // lists are split into edge-parallel chunks; all other vertices
-      // take the one-thread-per-vertex fast path.
+      // paper's per-thread worklists + work stealing.  No hub splitting:
+      // Zero Planting gives the largest hub label 0, which never changes,
+      // so that hub never enters a push frontier.
       rec.direction = Direction::kPush;
-      const auto push_label_along =
-          [&](int t, Label lv, std::span<const VertexId> nbrs) {
-            for (std::size_t i = 0; i < nbrs.size(); ++i) {
-              if (i + support::kPrefetchDistance < nbrs.size()) {
-                support::prefetch_write(
-                    &labels[nbrs[i + support::kPrefetchDistance]]);
-              }
-              const VertexId u = nbrs[i];
-              counters.edge();
-              counters.cas_attempt();
-              if (atomic_min(labels[u], lv)) {
-                counters.cas_success();
-                counters.label_write();
-                if (next.push(t, u, g.degree(u))) {
-                  counters.frontier_push();
-                }
-              }
-            }
-          };
-      current.process_with_stealing_split(
-          hub_threshold, degree_of,
-          [&](int t, VertexId v) {
-            counters.label_read();
-            push_label_along(t, load_label(labels[v]), g.neighbors(v));
-          },
-          [&](int t, VertexId v, EdgeOffset begin, EdgeOffset end) {
-            counters.label_read();
-            push_label_along(
-                t, load_label(labels[v]),
-                g.neighbors(v).subspan(begin, end - begin));
-          });
+      current.process_with_stealing([&](int t, VertexId v) {
+        counters.label_read();
+        const Label lv = load_label(labels[v]);
+        const auto nbrs = g.neighbors(v);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          if (i + support::kPrefetchDistance < nbrs.size()) {
+            support::prefetch_write(
+                &labels[nbrs[i + support::kPrefetchDistance]]);
+          }
+          const VertexId u = nbrs[i];
+          counters.edge();
+          counters.cas_attempt();
+          if (atomic_min(labels[u], lv)) {
+            counters.cas_success();
+            counters.label_write();
+            if (next.push(t, u, g.degree(u))) counters.frontier_push();
+          }
+        }
+      });
       const frontier::LocalWorklists::Mass mass = next.mass();
       changes = mass.vertices;
       changed_edges = mass.edges;

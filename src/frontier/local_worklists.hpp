@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "frontier/hub_chunks.hpp"
 #include "graph/types.hpp"
 #include "support/assert.hpp"
 
@@ -151,56 +150,6 @@ class LocalWorklists {
           }
         }
       }
-    }
-  }
-
-  /// Hub-splitting variant of process_with_stealing(): vertices whose
-  /// degree exceeds `hub_threshold` are not handed to `vertex_body`;
-  /// instead their adjacency lists are re-traversed edge-parallel after
-  /// the vertex sweep, in HubChunks::kChunkEdges-sized chunks claimed by
-  /// all threads, via `chunk_body(thread, hub, edge_begin, edge_end)`.
-  /// One hub can no longer serialise an iteration.  Like its sibling it
-  /// does not modify the lists; call clear() afterwards to recycle.
-  template <typename DegreeFn, typename VertexBody, typename ChunkBody>
-  void process_with_stealing_split(graph::EdgeOffset hub_threshold,
-                                   DegreeFn&& degree_of,
-                                   VertexBody&& vertex_body,
-                                   ChunkBody&& chunk_body) const {
-    const int threads = num_threads();
-    std::vector<std::atomic<std::size_t>> cursors(
-        static_cast<std::size_t>(threads));
-    for (auto& c : cursors) c.store(0, std::memory_order_relaxed);
-    HubChunks hubs(threads);
-    constexpr std::size_t kChunk = 64;
-#pragma omp parallel num_threads(threads)
-    {
-      const int self = support_thread_id();
-      for (int step = 0; step < threads; ++step) {
-        const int victim =
-            step == 0 ? self : (self + threads - step) % threads;
-        const auto& victim_list =
-            lists_[static_cast<std::size_t>(victim)];
-        auto& cursor = cursors[static_cast<std::size_t>(victim)];
-        while (true) {
-          const std::size_t begin =
-              cursor.fetch_add(kChunk, std::memory_order_relaxed);
-          if (begin >= victim_list.size()) break;
-          const std::size_t end =
-              std::min(begin + kChunk, victim_list.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const graph::VertexId v = victim_list[i];
-            if (degree_of(v) > hub_threshold) {
-              hubs.collect(self, v);
-            } else {
-              vertex_body(self, v);
-            }
-          }
-        }
-      }
-#pragma omp barrier
-#pragma omp single
-      hubs.finalize(degree_of);
-      hubs.drain(self, degree_of, chunk_body);
     }
   }
 

@@ -74,13 +74,10 @@ GraphProfile GraphProfile::sample(const graph::CsrGraph& graph,
 
 AdaptivePlanner::AdaptivePlanner(const GraphProfile& profile,
                                  const PlanOptions& options)
-    : profile_(profile), options_(options) {
-  hub_split_ = profile.skew >= options.hub_split_skew;
-}
+    : profile_(profile), options_(options) {}
 
 PlanStep AdaptivePlanner::next(const Observation& observation) {
   PlanStep step;
-  step.hub_split = hub_split_;
   step.simd = options_.simd;
 
   // Sampling-then-finish: once the sampled giant component covers the
@@ -115,11 +112,11 @@ PlanStep AdaptivePlanner::next(const Observation& observation) {
     // and the remaining propagation drains faster barrier-free than
     // through further synchronous sweeps (each of which pays a global
     // barrier per label hop).  Hub-dominated profiles keep the
-    // synchronous path: their tail partitions are exactly the ones the
-    // hub split was built to break up.  A skew below 1 only occurs in
+    // synchronous path: one hub would pin the partition that owns it
+    // while the others idle.  A skew below 1 only occurs in
     // degenerate or synthetic profiles, where the signal says nothing.
     if (mid_density && profile_.skew >= 1.0 &&
-        profile_.skew < options_.hub_split_skew) {
+        profile_.skew < options_.async_max_skew) {
       step.kind = StepKind::kAsync;
     } else {
       // Dense phase: plain pulls are cheapest, but keep the frontier

@@ -1,7 +1,7 @@
 // Adaptive execution planning for the connected-components solvers.
 //
 // The single-shot pipeline has several interchangeable strategies (pull
-// sweeps, frontier push, hub splitting, SIMD pull kernels, union-find
+// sweeps, frontier push, SIMD pull kernels, an async drain, union-find
 // finishing) that were historically selected by static knobs.  Following
 // Sutton et al.'s adaptive CC engine and ConnectIt's sampling-then-finish
 // decomposition, this subsystem turns the choice into a *per-iteration*
@@ -11,7 +11,7 @@
 //
 // Three planner families share one interface:
 //   * AdaptivePlanner — the runtime brain: density-threshold direction
-//     switching, profile-driven hub splitting, and a sampled
+//     switching, a skew-gated async drain, and a sampled
 //     giant-component cutover to the union-find finish;
 //   * FixedPlanner   — a scripted strategy sequence parsed from a
 //     "fixed:<spec>" string (the adversarial plans of the crosscheck
@@ -66,9 +66,6 @@ enum class StepKind {
 /// One iteration's full prescription.
 struct PlanStep {
   StepKind kind = StepKind::kPull;
-  /// Push iterations: traverse over-threshold ("hub") adjacency lists
-  /// edge-parallel instead of one-thread-per-vertex.
-  bool hub_split = true;
   /// Pull iterations: kernel instruction-set ceiling for the gather-min
   /// sweep (resolved against host support by the executor).
   support::SimdLevel simd = support::SimdLevel::kAuto;
@@ -108,7 +105,7 @@ struct GraphProfile {
   /// dominant hub).
   graph::EdgeOffset max_sampled_degree = 0;
   /// max_sampled_degree / max(average_degree, 1) — the skew signal that
-  /// decides hub splitting.
+  /// gates the async drain.
   double skew = 0.0;
 
   [[nodiscard]] static GraphProfile sample(const graph::CsrGraph& graph,
@@ -125,8 +122,9 @@ struct PlanOptions {
   /// least one completed sweep first — the giant estimate is
   /// meaningless on identity-initialised labels.
   double finish_cutover = 0.75;
-  /// Sampled degree skew above which push iterations split hubs.
-  double hub_split_skew = 8.0;
+  /// Sampled degree skew at or above which the planner never routes a
+  /// mid-density iteration to the async drain.
+  double async_max_skew = 8.0;
   /// Vertices sampled for the profile and the giant estimate.
   std::uint32_t sample_size = 1024;
   /// Seed for both sampling streams.
@@ -144,22 +142,17 @@ class Planner {
   [[nodiscard]] virtual PlanStep next(const Observation& observation) = 0;
 };
 
-/// The runtime brain: density-threshold direction switching, skew-driven
-/// hub splitting, a mid-density barrier-free async drain on
-/// moderate-skew profiles, sampled giant-component cutover to the
-/// finish.
+/// The runtime brain: density-threshold direction switching, a
+/// mid-density barrier-free async drain on moderate-skew profiles,
+/// sampled giant-component cutover to the finish.
 class AdaptivePlanner : public Planner {
  public:
   AdaptivePlanner(const GraphProfile& profile, const PlanOptions& options);
   [[nodiscard]] PlanStep next(const Observation& observation) override;
 
-  /// Whether push steps this planner emits split hubs (profile-driven).
-  [[nodiscard]] bool hub_split() const { return hub_split_; }
-
  private:
   GraphProfile profile_;
   PlanOptions options_;
-  bool hub_split_ = true;
 };
 
 /// Scripted sequence; the last step repeats forever, so every fixed plan

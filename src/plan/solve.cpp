@@ -1,7 +1,6 @@
 #include "plan/solve.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include "cc_baselines/concurrent_hook.hpp"
 #include "core/async_cc.hpp"
 #include "frontier/bitmap.hpp"
-#include "frontier/hub_chunks.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/run_config.hpp"
@@ -163,7 +161,7 @@ class Executor {
           converged = changes == 0;
           break;
         case StepKind::kPush:
-          changes = push(step);
+          changes = push();
           // Empty next frontier == fixed point: every vertex able to
           // lower a neighbour was in the frontier with its final label.
           converged = changes == 0;
@@ -284,59 +282,19 @@ class Executor {
   /// target vertex is min(old, min captured of pushing neighbours) —
   /// commutative, hence schedule-independent — and the changed-vertex
   /// set (deduped through the bitmap's true RMW) is exact.
-  std::uint64_t push(const PlanStep& step) {
-    const int threads = support::num_threads();
-    const EdgeOffset hub_threshold =
-        step.hub_split ? frontier::hub_split_threshold(m_, threads)
-                       : std::numeric_limits<EdgeOffset>::max();
+  std::uint64_t push() {
     frontier::Bitmap changed_bits(n_);
-
-    const auto push_range = [&](VertexId v, Label captured,
-                                EdgeOffset begin, EdgeOffset end) {
-      const auto nbrs = graph_.neighbors(v);
-      for (EdgeOffset k = begin; k < end; ++k) {
-        const VertexId u = nbrs[static_cast<std::size_t>(k)];
-        if (core::atomic_min(labels_[u], captured)) {
-          changed_bits.set_atomic(u);
-        }
-      }
-    };
-
-    // Vertex-parallel sweep over the sub-threshold frontier entries.
     support::parallel_for_dynamic<std::size_t>(
         frontier_vertices_.size(),
         [&](std::size_t i) {
-          const VertexId v = frontier_vertices_[i];
-          const EdgeOffset degree = graph_.degree(v);
-          if (degree > hub_threshold) return;
-          push_range(v, frontier_labels_[i], 0, degree);
+          const Label captured = frontier_labels_[i];
+          for (const VertexId u : graph_.neighbors(frontier_vertices_[i])) {
+            if (core::atomic_min(labels_[u], captured)) {
+              changed_bits.set_atomic(u);
+            }
+          }
         },
         std::size_t{64});
-
-    // Hubs drain edge-parallel in shared chunks.  HubChunks stores
-    // frontier *indices* so the drain body can recover the captured
-    // label alongside the vertex.
-    frontier::HubChunks hubs(threads);
-    for (std::size_t i = 0; i < frontier_vertices_.size(); ++i) {
-      if (graph_.degree(frontier_vertices_[i]) > hub_threshold) {
-        hubs.collect(0, static_cast<VertexId>(i));
-      }
-    }
-    const auto degree_of = [&](VertexId i) {
-      return graph_.degree(frontier_vertices_[i]);
-    };
-    // finalize() flattens the collected stash into the chunk index;
-    // empty() only reports on the flattened view, so it must come after.
-    hubs.finalize(degree_of);
-    if (!hubs.empty()) {
-      support::parallel_for<int>(threads, [&](int thread) {
-        hubs.drain(thread, degree_of,
-                   [&](int, VertexId i, EdgeOffset begin, EdgeOffset end) {
-                     push_range(frontier_vertices_[i], frontier_labels_[i],
-                                begin, end);
-                   });
-      });
-    }
 
     // Two-phase capture: the changed set is known now, but a vertex
     // lowered twice this iteration must enter the next frontier with

@@ -45,7 +45,6 @@ void write_trace(std::ostream& out, const PlanTrace& trace) {
     const TraceStep& s = trace.steps[i];
     out << "step " << i << " " << to_string(s.step.kind)
         << " requested=" << to_string(s.requested)
-        << " hub_split=" << (s.step.hub_split ? 1 : 0)
         << " simd=" << support::to_string(s.step.simd)
         << " active_vertices=" << s.active_vertices
         << " active_edges=" << s.active_edges
@@ -125,8 +124,6 @@ PlanTrace read_trace(std::istream& in) {
           const auto requested = parse_step_kind(val);
           if (!requested) malformed("unknown step kind '" + val + "'");
           step.requested = *requested;
-        } else if (name == "hub_split") {
-          step.step.hub_split = val != "0";
         } else if (name == "simd") {
           const auto level = support::parse_simd_level(val);
           if (!level) malformed("unknown simd level '" + val + "'");

@@ -18,8 +18,6 @@ RunConfig& storage() {
 
 RunConfig run_config_from_env() {
   RunConfig config;
-  config.hub_split_degree =
-      std::max<std::int64_t>(0, env_int("THRIFTY_HUB_SPLIT_DEGREE", 0));
   const auto scale_text = env_string("THRIFTY_SCALE");
   config.scale = scale_text ? parse_scale(*scale_text) : Scale::kSmall;
   config.bench_trials = static_cast<int>(

@@ -1,8 +1,7 @@
 // Process-wide runtime configuration.
 //
 // Historically every knob was a separate THRIFTY_* environment variable
-// read at its point of use (hub_chunks.hpp, bench_common/harness.cpp,
-// env.cpp).  That forced "sweep this knob" tests to call ::setenv
+// read at its point of use (bench_common/harness.cpp, env.cpp).  That forced "sweep this knob" tests to call ::setenv
 // mid-process, which races the C runtime's environ against getenv calls
 // from OpenMP worker threads — undefined behaviour that TSan cannot even
 // see because environ lives inside libc.  RunConfig snapshots the
@@ -21,9 +20,9 @@
 namespace thrifty::support {
 
 struct RunConfig {
-  /// Degree above which a frontier vertex is traversed edge-parallel
-  /// (THRIFTY_HUB_SPLIT_DEGREE); 0 selects the automatic per-thread
-  /// share computed by frontier::hub_split_threshold.
+  /// Inert: push iterations no longer split hubs, so nothing reads this
+  /// field and nothing sets it from the environment.  Kept only because
+  /// perfbench prints it.
   std::int64_t hub_split_degree = 0;
   /// Synthetic dataset scale for benchmarks (THRIFTY_SCALE).
   Scale scale = Scale::kSmall;

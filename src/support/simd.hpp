@@ -3,8 +3,8 @@
 // Thrifty's measured hot path (§IV, Table IV) is dominated by dense
 // per-edge sweeps — gather the neighbour's label, take the minimum,
 // conditionally update — plus the convergence/copy/popcount sweeps
-// around them.  After the hub-split and NUMA work those loops are
-// scalar and leave the vector units idle.  This header exposes each
+// around them.  Written as plain loops, they are scalar and leave the
+// vector units idle.  This header exposes each
 // sweep as a kernel with scalar / AVX2 / AVX-512 variants selected at
 // runtime:
 //

@@ -25,8 +25,6 @@ using graph::VertexId;
 std::string RunSetup::describe() const {
   std::ostringstream out;
   out << "threads=" << (threads > 0 ? std::to_string(threads) : "default")
-      << " hub_split="
-      << (hub_split_degree > 0 ? std::to_string(hub_split_degree) : "auto")
       << " threshold="
       << (density_threshold ? std::to_string(*density_threshold)
                             : "default")
@@ -54,21 +52,15 @@ std::string RunSetup::describe() const {
 
 std::vector<RunSetup> perturbation_matrix() {
   std::vector<RunSetup> matrix;
-  // Degree 4 pushes nearly every frontier vertex of the test-sized
-  // scenarios through HubChunks; 1<<30 disables splitting entirely.
-  const std::int64_t hub_degrees[] = {0, 4, std::int64_t{1} << 30};
   // Thrifty's 1%, DO-LP's 5%, and an extreme that forces push almost
   // always.  nullopt keeps each entry's registry default.
   const std::optional<double> thresholds[] = {std::nullopt, 0.01, 0.5};
   for (const int threads : {1, 2, 4}) {
-    for (const std::int64_t hub : hub_degrees) {
-      for (const auto& threshold : thresholds) {
-        RunSetup setup;
-        setup.threads = threads;
-        setup.hub_split_degree = hub;
-        setup.density_threshold = threshold;
-        matrix.push_back(setup);
-      }
+    for (const auto& threshold : thresholds) {
+      RunSetup setup;
+      setup.threads = threads;
+      setup.density_threshold = threshold;
+      matrix.push_back(setup);
     }
   }
   // Placement is a pure page-locality knob: sweeping it orthogonally to
@@ -264,7 +256,6 @@ core::CcResult run_under(const baselines::AlgorithmEntry& entry,
   // or a repro file replayed under a different environment diverges from
   // the failing run.
   support::RunConfig config = support::run_config();
-  config.hub_split_degree = setup.hub_split_degree;
   config.placement = setup.placement;
   config.simd = setup.simd;
   config.numa_steal = setup.numa_steal;
@@ -444,10 +435,9 @@ std::optional<OracleFailure> check_sharded_solve(
     const CsrGraph& graph, std::span<const Label> reference,
     const RunSetup& setup) {
   // Same full-configuration snapshot as run_under: the round-0 local
-  // solves and the exchange sweeps all run under the perturbed width,
-  // hub split and kernel level.
+  // solves and the exchange sweeps all run under the perturbed width
+  // and kernel level.
   support::RunConfig config = support::run_config();
-  config.hub_split_degree = setup.hub_split_degree;
   config.placement = setup.placement;
   config.simd = setup.simd;
   config.numa_steal = setup.numa_steal;
@@ -485,9 +475,8 @@ std::optional<OracleFailure> check_service_ingest(
     std::span<const Label> reference, const RunSetup& setup) {
   // Apply the schedule point exactly as run_under does for registry
   // algorithms; the service's internal solves and hook sweeps then run
-  // under the perturbed width / hub split / kernel level.
+  // under the perturbed width and kernel level.
   support::RunConfig config = support::run_config();
-  config.hub_split_degree = setup.hub_split_degree;
   config.placement = setup.placement;
   config.simd = setup.simd;
   config.numa_steal = setup.numa_steal;

@@ -6,8 +6,8 @@
 //      the same partition (labels compared as partitions, never as raw
 //      values) as the sequential union-find reference;
 //   2. schedule robustness — property 1 must hold at every point of a
-//      perturbation matrix over thread counts, hub-split degrees and
-//      density thresholds (RunSetup);
+//      perturbation matrix over thread counts, density thresholds and
+//      single points for the other run knobs (RunSetup);
 //   3. permutation invariance — relabelling vertex ids and mapping the
 //      result back must yield the identical partition;
 //   4. edge-addition monotonicity — adding edges may only merge
@@ -39,8 +39,6 @@ namespace thrifty::testing {
 struct RunSetup {
   /// OpenMP width; 0 keeps the current width.
   int threads = 0;
-  /// Forced hub-split degree; 0 keeps the automatic per-thread share.
-  std::int64_t hub_split_degree = 0;
   /// Forced density threshold; unset runs each entry at its registry
   /// default (via baselines::effective_options).
   std::optional<double> density_threshold;
@@ -76,7 +74,9 @@ struct RunSetup {
   [[nodiscard]] std::string describe() const;
 };
 
-/// The full perturbation matrix (threads × hub-split × threshold).
+/// The full perturbation matrix: threads × threshold, plus one or a few
+/// points for each other knob (placement, SIMD level, reorder, steal
+/// scope, plan, shard count).
 [[nodiscard]] std::vector<RunSetup> perturbation_matrix();
 
 /// One deterministic sample of the matrix, varying with `seed`.

@@ -35,7 +35,6 @@ void write_repro(std::ostream& out, const Repro& repro) {
   out << "algorithm " << sanitize(repro.algorithm) << "\n";
   out << "detail " << sanitize(repro.detail) << "\n";
   out << "threads " << repro.setup.threads << "\n";
-  out << "hub_split_degree " << repro.setup.hub_split_degree << "\n";
   if (repro.setup.density_threshold) {
     out << "density_threshold " << *repro.setup.density_threshold << "\n";
   } else {
@@ -92,7 +91,8 @@ Repro read_repro(std::istream& in) {
     } else if (key == "threads") {
       repro.setup.threads = std::stoi(value);
     } else if (key == "hub_split_degree") {
-      repro.setup.hub_split_degree = std::stoll(value);
+      // Legacy key: written before push iterations stopped splitting
+      // hubs.  It no longer affects any run, so it is read and ignored.
     } else if (key == "density_threshold") {
       if (value == "default") {
         repro.setup.density_threshold.reset();

@@ -13,7 +13,6 @@
 //   algorithm thrifty
 //   detail partition differs from union-find reference
 //   threads 2
-//   hub_split_degree 4
 //   density_threshold 0.05      (or "default")
 //   algorithm_seed 1
 //   fault none

@@ -60,12 +60,19 @@ TEST(Scenario, GraphPreservesVertexIds) {
 }
 
 TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
+  // The hub-split axis is gone (push iterations no longer split hubs);
+  // the test keeps its name so its history stays traceable.
   const std::vector<RunSetup> matrix = perturbation_matrix();
-  // 3 threads x 3 hub degrees x 3 thresholds + 2 placement points
+  // 3 threads x 3 thresholds + 2 placement points
   // + 2 forced-scalar kernel points + 3 vertex-reorder points
   // + 1 global-steal point + 3 adversarial-plan points
   // + 2 async-plan points + 3 shard-count points.
-  EXPECT_EQ(matrix.size(), 43u);
+  EXPECT_EQ(matrix.size(), 25u);
+  EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
+                          [](const RunSetup& s) {
+                            return s.density_threshold.has_value();
+                          }),
+            6);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) {
                             return s.placement !=
@@ -102,7 +109,6 @@ TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
   const RunSetup a = sampled_perturbation(5);
   const RunSetup b = sampled_perturbation(5);
   EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.hub_split_degree, b.hub_split_degree);
   EXPECT_EQ(a.density_threshold, b.density_threshold);
   EXPECT_EQ(a.algorithm_seed, b.algorithm_seed);
 }
@@ -173,8 +179,18 @@ TEST(Crosscheck, CorpusSpecsRunCleanUnderFullMatrix) {
   const CrosscheckSummary summary = run_crosscheck(options);
   EXPECT_TRUE(summary.clean());
   EXPECT_EQ(summary.scenarios, 2);
-  // 1 default + 29 matrix setups, each running the whole registry.
-  EXPECT_GE(summary.algorithm_runs, 2u * 30u);
+  // Per scenario: the default setup and every matrix point run the
+  // whole registry, and so does the permutation oracle; each matrix
+  // point with shards > 1 adds one sharded solve; monotonicity, service
+  // ingest and the seed-rotated sharded leg add one run each.
+  const std::vector<RunSetup> matrix = perturbation_matrix();
+  const auto sharded_points = static_cast<std::uint64_t>(
+      std::count_if(matrix.begin(), matrix.end(),
+                    [](const RunSetup& s) { return s.shards > 1; }));
+  const std::uint64_t registry = baselines::all_algorithms().size();
+  EXPECT_EQ(summary.algorithm_runs,
+            2u * ((1u + matrix.size()) * registry + registry +
+                  sharded_points + 3u));
 }
 
 class InjectedFault : public ::testing::Test {
@@ -237,7 +253,6 @@ TEST_F(InjectedFault, ReproFileRoundTripsAndReplays) {
   EXPECT_EQ(parsed.oracle, original.oracle);
   EXPECT_EQ(parsed.algorithm, original.algorithm);
   EXPECT_EQ(parsed.setup.threads, original.setup.threads);
-  EXPECT_EQ(parsed.setup.hub_split_degree, original.setup.hub_split_degree);
   EXPECT_EQ(parsed.setup.density_threshold,
             original.setup.density_threshold);
   EXPECT_EQ(parsed.setup.algorithm_seed, original.setup.algorithm_seed);
@@ -335,6 +350,34 @@ TEST(Repro, UnknownKeysAreSkippedNotFatal) {
   std::istringstream bad_known(
       "# cc_crosscheck repro v1\nsimd warp9\nvertices 2\nedges 0\n");
   EXPECT_THROW((void)read_repro(bad_known), std::runtime_error);
+}
+
+TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
+  // Files written while push iterations still split hubs carry a
+  // hub_split_degree line.  It is read and ignored, and the run it
+  // describes replays without a discrepancy.
+  std::istringstream in(
+      "# cc_crosscheck repro v1\n"
+      "spec hub_star:1\n"
+      "oracle cross_algorithm\n"
+      "algorithm thrifty\n"
+      "threads 2\n"
+      "hub_split_degree 4\n"
+      "density_threshold default\n"
+      "fault none\n"
+      "vertices 5\n"
+      "edges 4\n"
+      "0 1\n0 2\n0 3\n0 4\n");
+  const Repro repro = read_repro(in);
+  EXPECT_EQ(repro.algorithm, "thrifty");
+  EXPECT_EQ(repro.setup.threads, 2);
+  EXPECT_EQ(repro.num_vertices, 5u);
+  ASSERT_EQ(repro.edges.size(), 4u);
+  EXPECT_FALSE(replay_repro(repro));
+
+  std::ostringstream out;
+  write_repro(out, repro);
+  EXPECT_EQ(out.str().find("hub_split"), std::string::npos);
 }
 
 TEST(Repro, RoundTripsForwardAndBackward) {

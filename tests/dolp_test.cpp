@@ -15,7 +15,6 @@
 #include "graph/builder.hpp"
 #include "instrument/run_stats.hpp"
 #include "support/parallel.hpp"
-#include "support/run_config.hpp"
 
 namespace thrifty::core {
 namespace {
@@ -167,17 +166,9 @@ TEST(Dolp, TimeIsRecordedPerIteration) {
   EXPECT_LE(sum, result.stats.total_ms + 1.0);
 }
 
-support::RunConfig with_hub_split(std::int64_t degree) {
-  support::RunConfig config = support::run_config();
-  config.hub_split_degree = degree;
-  return config;
-}
-
-TEST(DolpHubSplit, CorrectWithForcedSplittingAcrossThreadCounts) {
-  // A tiny hub-split degree forces every fat frontier vertex in the push
-  // iterations through the HubChunks edge-parallel path; the result must
-  // stay the exact component partition at every width.
-  const support::RunConfigOverride scope(with_hub_split(8));
+TEST(DolpStar, SkewedPartitionStableAcrossThreadCounts) {
+  // Push iterations on a skewed graph must give the exact component
+  // partition at every width, with and without the unified array.
   const CsrGraph g = skewed_graph(12, 8);
   const CcResult reference = dolp_cc(g);
   ASSERT_TRUE(verify_labels(g, reference.label_span()).valid);
@@ -195,8 +186,7 @@ TEST(DolpHubSplit, CorrectWithForcedSplittingAcrossThreadCounts) {
   }
 }
 
-TEST(DolpHubSplit, StarPushIterationSplitsWithoutLosingLeaves) {
-  const support::RunConfigOverride scope(with_hub_split(16));
+TEST(DolpStar, StarPushIterationKeepsEveryLeaf) {
   const CsrGraph star =
       graph::build_csr(gen::star_edges(4096, 2048)).graph;
   for (const int threads : {1, 2, 4}) {

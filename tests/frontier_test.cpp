@@ -11,7 +11,6 @@
 
 #include "frontier/bitmap.hpp"
 #include "frontier/density.hpp"
-#include "frontier/hub_chunks.hpp"
 #include "frontier/local_worklists.hpp"
 #include "frontier/sliding_queue.hpp"
 #include "support/parallel.hpp"
@@ -237,135 +236,6 @@ TEST(LocalWorklists, SwapExchangesMass) {
   EXPECT_EQ(a.mass().edges, 0u);
   EXPECT_EQ(b.mass().edges, 9u);
   EXPECT_EQ(b.mass().vertices, 1u);
-}
-
-TEST(HubChunks, DrainCoversEveryEdgeOfEveryHubExactlyOnce) {
-  using graph::EdgeOffset;
-  HubChunks hubs(2);
-  hubs.collect(0, 0);  // 5000 edges -> 3 chunks
-  hubs.collect(1, 1);  // exactly one chunk
-  hubs.collect(1, 2);  // 1 edge -> still one chunk
-  const auto degree_of = [](VertexId v) -> EdgeOffset {
-    if (v == 0) return 5000;
-    if (v == 1) return HubChunks::kChunkEdges;
-    return 1;
-  };
-  hubs.finalize(degree_of);
-  EXPECT_EQ(hubs.num_hubs(), 3u);
-  std::vector<std::vector<std::pair<EdgeOffset, EdgeOffset>>> ranges(3);
-  hubs.drain(0, degree_of,
-             [&](int, VertexId v, EdgeOffset begin, EdgeOffset end) {
-               ranges[v].push_back({begin, end});
-             });
-  for (VertexId v = 0; v < 3; ++v) {
-    auto& r = ranges[v];
-    std::sort(r.begin(), r.end());
-    ASSERT_FALSE(r.empty()) << "hub " << v << " never drained";
-    EXPECT_EQ(r.front().first, 0u);
-    EXPECT_EQ(r.back().second, degree_of(v));
-    for (std::size_t i = 0; i + 1 < r.size(); ++i) {
-      EXPECT_EQ(r[i].second, r[i + 1].first) << "gap/overlap at hub " << v;
-    }
-  }
-}
-
-TEST(HubChunks, DrainIsExhaustedAfterOnePass) {
-  HubChunks hubs(1);
-  hubs.collect(0, 0);
-  const auto degree_of = [](VertexId) -> graph::EdgeOffset { return 10; };
-  hubs.finalize(degree_of);
-  int calls = 0;
-  hubs.drain(0, degree_of, [&](int, VertexId, auto, auto) { ++calls; });
-  EXPECT_EQ(calls, 1);
-  hubs.drain(0, degree_of, [&](int, VertexId, auto, auto) { ++calls; });
-  EXPECT_EQ(calls, 1);  // cursor stays exhausted
-}
-
-TEST(LocalWorklists, ProcessWithStealingSplitRoutesHubsToChunks) {
-  const int threads = support::num_threads();
-  const VertexId n = 1000;
-  LocalWorklists lists(n, threads);
-  std::vector<graph::EdgeOffset> degree(n, 10);
-  degree[7] = 9000;   // > threshold: split into ceil(9000/2048) chunks
-  degree[400] = 100;  // on the fat side but below threshold
-  for (VertexId v = 0; v < n; ++v) lists.push(0, v, degree[v]);
-  const auto degree_of = [&degree](VertexId v) { return degree[v]; };
-  std::vector<std::atomic<int>> vertex_visits(n);
-  std::vector<std::atomic<graph::EdgeOffset>> covered(n);
-  lists.process_with_stealing_split(
-      128, degree_of,
-      [&](int, VertexId v) { vertex_visits[v].fetch_add(1); },
-      [&](int, VertexId v, graph::EdgeOffset begin,
-          graph::EdgeOffset end) {
-        covered[v].fetch_add(end - begin);
-      });
-  for (VertexId v = 0; v < n; ++v) {
-    if (v == 7) {
-      EXPECT_EQ(vertex_visits[v].load(), 0);  // hubs bypass vertex body
-      EXPECT_EQ(covered[v].load(), degree[v]);
-    } else {
-      EXPECT_EQ(vertex_visits[v].load(), 1) << "vertex " << v;
-      EXPECT_EQ(covered[v].load(), 0u);
-    }
-  }
-}
-
-TEST(LocalWorklists, ProcessWithStealingSplitNoHubsMatchesPlain) {
-  const int threads = support::num_threads();
-  LocalWorklists lists(64, threads);
-  for (VertexId v = 0; v < 64; ++v) lists.push(0, v, 3);
-  std::atomic<int> vertex_calls{0};
-  std::atomic<int> chunk_calls{0};
-  lists.process_with_stealing_split(
-      100, [](VertexId) -> graph::EdgeOffset { return 3; },
-      [&](int, VertexId) { vertex_calls.fetch_add(1); },
-      [&](int, VertexId, graph::EdgeOffset, graph::EdgeOffset) {
-        chunk_calls.fetch_add(1);
-      });
-  EXPECT_EQ(vertex_calls.load(), 64);
-  EXPECT_EQ(chunk_calls.load(), 0);
-}
-
-TEST(HubSplitThreshold, DefaultIsPerThreadShareWithFloor) {
-  EXPECT_EQ(hub_split_threshold(1000, 4), 250u);
-  EXPECT_EQ(hub_split_threshold(100, 4), 64u);  // floor for tiny graphs
-  EXPECT_EQ(hub_split_threshold(1000, 0), 1000u);  // guarded division
-}
-
-TEST(HubSplitThreshold, RunConfigOverrideWins) {
-  support::RunConfig config = support::run_config();
-  config.hub_split_degree = 7;
-  {
-    support::RunConfigOverride scope(config);
-    EXPECT_EQ(hub_split_threshold(1'000'000, 4), 7u);
-  }
-  config.hub_split_degree = 0;  // 0 means "use default"
-  {
-    support::RunConfigOverride scope(config);
-    EXPECT_EQ(hub_split_threshold(1000, 4), 250u);
-  }
-}
-
-TEST(HubChunks, EmptyCountsStashedHubsBeforeFinalize) {
-  // Regression: empty()/num_hubs() used to report only the flattened
-  // view, so "if (!hubs.empty()) finalize-and-drain" silently skipped
-  // every hub — collect() stashes must count on both sides of
-  // finalize().
-  HubChunks hubs(2);
-  EXPECT_TRUE(hubs.empty());
-  hubs.collect(1, 42);
-  EXPECT_FALSE(hubs.empty());
-  EXPECT_EQ(hubs.num_hubs(), 1u);
-  const auto degree_of = [](VertexId) -> graph::EdgeOffset { return 10; };
-  hubs.finalize(degree_of);
-  EXPECT_FALSE(hubs.empty());
-  EXPECT_EQ(hubs.num_hubs(), 1u);
-  int drained = 0;
-  hubs.drain(0, degree_of, [&](int, VertexId v, auto, auto) {
-    EXPECT_EQ(v, 42u);
-    ++drained;
-  });
-  EXPECT_EQ(drained, 1);
 }
 
 TEST(Density, FormulaMatchesPaper) {

@@ -319,6 +319,8 @@ TEST(Trace, AsyncStepRecordsPublishesAndRoundTrips) {
 }
 
 TEST(Trace, UnknownKeysAndAttributesAreSkippedNotFatal) {
+  // Step 0 is a line from an older writer: its hub_split attribute is
+  // no longer written and goes through the unknown-attribute skip.
   std::istringstream in(
       "# thrifty plan trace v1\n"
       "planner auto\n"
@@ -330,7 +332,7 @@ TEST(Trace, UnknownKeysAndAttributesAreSkippedNotFatal) {
       "step 0 pullf hub_split=1 simd=auto active_vertices=4 "
       "active_edges=6 label_changes=3 density=0x1p-1 giant=-0x1p+0 "
       "shiny_attr=9\n"
-      "step 1 finish hub_split=1 simd=auto active_vertices=0 "
+      "step 1 finish simd=auto active_vertices=0 "
       "active_edges=0 label_changes=0 density=0x0p+0 giant=0x1.8p-1\n");
   const PlanTrace trace = read_trace(in);
   EXPECT_EQ(trace.planner, "auto");

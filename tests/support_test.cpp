@@ -162,25 +162,20 @@ TEST(Env, ScaleParses) {
 TEST(RunConfig, FromEnvReadsKnobsAndFallsBack) {
   // setenv here is safe: these tests run before any parallel region is
   // active in this process, and run_config_from_env is a pure read.
-  ::setenv("THRIFTY_HUB_SPLIT_DEGREE", "17", 1);
   ::setenv("THRIFTY_SCALE", "large", 1);
   ::setenv("THRIFTY_BENCH_TRIALS", "5", 1);
   ::setenv("THRIFTY_SIMD", "avx2", 1);
   RunConfig config = run_config_from_env();
-  EXPECT_EQ(config.hub_split_degree, 17);
   EXPECT_EQ(config.scale, Scale::kLarge);
   EXPECT_EQ(config.bench_trials, 5);
   EXPECT_EQ(config.simd, SimdLevel::kAvx2);
 
-  ::setenv("THRIFTY_HUB_SPLIT_DEGREE", "-3", 1);  // clamped to 0 (= auto)
   ::setenv("THRIFTY_SCALE", "garbage", 1);
   ::setenv("THRIFTY_BENCH_TRIALS", "0", 1);  // at least one trial
   config = run_config_from_env();
-  EXPECT_EQ(config.hub_split_degree, 0);
   EXPECT_EQ(config.scale, Scale::kSmall);
   EXPECT_EQ(config.bench_trials, 1);
 
-  ::unsetenv("THRIFTY_HUB_SPLIT_DEGREE");
   ::unsetenv("THRIFTY_SCALE");
   ::unsetenv("THRIFTY_BENCH_TRIALS");
   ::unsetenv("THRIFTY_SIMD");
@@ -242,18 +237,18 @@ TEST(RunConfig, OverridesNestAndRestore) {
   const RunConfig original = run_config();
   {
     RunConfig outer = original;
-    outer.hub_split_degree = 8;
+    outer.bench_trials = 8;
     RunConfigOverride outer_scope(outer);
-    EXPECT_EQ(run_config().hub_split_degree, 8);
+    EXPECT_EQ(run_config().bench_trials, 8);
     {
       RunConfig inner = run_config();
-      inner.hub_split_degree = 99;
+      inner.bench_trials = 99;
       inner.scale = Scale::kTiny;
       RunConfigOverride inner_scope(inner);
-      EXPECT_EQ(run_config().hub_split_degree, 99);
+      EXPECT_EQ(run_config().bench_trials, 99);
       EXPECT_EQ(bench_scale(), Scale::kTiny);
     }
-    EXPECT_EQ(run_config().hub_split_degree, 8);
+    EXPECT_EQ(run_config().bench_trials, 8);
     EXPECT_EQ(run_config().scale, original.scale);
   }
   EXPECT_EQ(run_config(), original);

@@ -17,7 +17,6 @@
 #include "graph/builder.hpp"
 #include "instrument/run_stats.hpp"
 #include "support/parallel.hpp"
-#include "support/run_config.hpp"
 
 namespace thrifty::core {
 namespace {
@@ -255,25 +254,10 @@ TEST(Thrifty, LabelsAreZeroOrVertexPlusOneValues) {
   }
 }
 
-// RAII guard forcing a tiny hub-split threshold so even the test graphs'
-// modest hubs take the edge-parallel chunk path.
-class HubSplitGuard {
- public:
-  explicit HubSplitGuard(std::int64_t degree)
-      : scope_(with_hub_split(degree)) {}
-
- private:
-  static support::RunConfig with_hub_split(std::int64_t degree) {
-    support::RunConfig config = support::run_config();
-    config.hub_split_degree = degree;
-    return config;
-  }
-  support::RunConfigOverride scope_;
-};
-
-TEST(ThriftyHubSplit, StarGraphCorrectAcrossThreadCounts) {
-  const HubSplitGuard env(16);
-  // Star: the centre's 4095-edge adjacency is forced through HubChunks.
+// Hub-shaped graphs at 1, 2 and 4 threads: push iterations consume the
+// frontier through the paper's per-thread worklists with work stealing,
+// so the thread count changes only which thread visits which vertex.
+TEST(ThriftyStar, StarGraphCorrectAcrossThreadCounts) {
   const CsrGraph star = graph::build_csr(gen::star_edges(4096, 9)).graph;
   for (const int threads : {1, 2, 4}) {
     support::ThreadCountGuard guard(threads);
@@ -285,25 +269,29 @@ TEST(ThriftyHubSplit, StarGraphCorrectAcrossThreadCounts) {
   }
 }
 
-TEST(ThriftyHubSplit, SplitAndUnsplitRunsProducePartitionEquivalentLabels) {
+TEST(ThriftyStar, SkewedLabelsIdenticalAcrossThreadCounts) {
   const CsrGraph g = skewed_graph(12, 8);
-  const CcResult unsplit = thrifty_cc(g);
-  const HubSplitGuard env(8);
-  for (const int threads : {1, 2, 4}) {
+  CcResult serial;
+  {
+    support::ThreadCountGuard guard(1);
+    serial = thrifty_cc(g);
+  }
+  ASSERT_TRUE(verify_labels(g, serial.label_span()).valid);
+  for (const int threads : {2, 4}) {
     support::ThreadCountGuard guard(threads);
-    const CcResult split = thrifty_cc(g);
-    ASSERT_TRUE(verify_labels(g, split.label_span()).valid);
+    const CcResult parallel = thrifty_cc(g);
+    ASSERT_TRUE(verify_labels(g, parallel.label_span()).valid);
     // Labels are identical, not merely partition-equivalent: the planted
     // zero and the v+k fallback labels are order-independent minima.
-    EXPECT_EQ(split.labels.size(), unsplit.labels.size());
+    EXPECT_EQ(parallel.labels.size(), serial.labels.size());
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(split.labels[v], unsplit.labels[v]) << "vertex " << v;
+      ASSERT_EQ(parallel.labels[v], serial.labels[v])
+          << "vertex " << v << " threads=" << threads;
     }
   }
 }
 
-TEST(ThriftyHubSplit, DisconnectedHubsStayInTheirComponents) {
-  const HubSplitGuard env(16);
+TEST(ThriftyStar, DisconnectedHubsStayInTheirComponents) {
   // Two stars that must not merge, plus a path.
   const std::vector<graph::EdgeList> parts{gen::star_edges(512),
                                            gen::star_edges(512),
