@@ -54,11 +54,6 @@ int run() {
        {.plant_site = core::PlantSite::kFirstVertex,
         .initial_push = true,
         .zero_convergence = true}},
-      {"plant4",
-       {.plant_site = core::PlantSite::kMaxDegree,
-        .initial_push = true,
-        .zero_convergence = true,
-        .plant_count = 4}},
   };
 
   for (const char* metric : {"time (ms)", "edges processed %", "iterations"}) {

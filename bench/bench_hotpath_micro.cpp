@@ -380,39 +380,6 @@ int run(int argc, char** argv) {
       add_kernel_row("bitmap_popcount", scalar_ms, vector_ms);
     }
 
-    // Grandparent-shortcut flatten of a random union-find forest (the
-    // FastSV / Shiloach-Vishkin shortcut phase).  Each trial pays one
-    // copy of the unflattened forest at the same level, so the delta is
-    // the flatten itself.
-    {
-      std::vector<std::uint32_t> forest(sweep);
-      for (std::size_t v = 0; v < sweep; ++v) {
-        forest[v] = static_cast<std::uint32_t>(rng.next_below(v + 1));
-      }
-      std::vector<std::uint32_t> work_a(sweep);
-      std::vector<std::uint32_t> work_b(sweep);
-      simd::copy_u32(work_a.data(), forest.data(), sweep, scalar);
-      simd::copy_u32(work_b.data(), forest.data(), sweep, vector);
-      (void)simd::flatten_u32(work_a.data(), 0, sweep, scalar);
-      (void)simd::flatten_u32(work_b.data(), 0, sweep, vector);
-      if (work_a != work_b) {
-        std::fprintf(stderr,
-                     "FATAL: shortcut_flatten kernel variants disagree\n");
-        std::abort();
-      }
-      const auto flatten_at = [&](std::vector<std::uint32_t>& work,
-                                  SimdLevel level) {
-        simd::copy_u32(work.data(), forest.data(), sweep, level);
-        return simd::flatten_u32(work.data(), 0, sweep, level);
-      };
-      std::uint64_t sink = 0;
-      const double scalar_ms = min_time_ms(
-          trials, [&] { sink += flatten_at(work_a, scalar) ? 1 : 2; });
-      const double vector_ms = min_time_ms(
-          trials, [&] { sink += flatten_at(work_b, vector) ? 1 : 2; });
-      if (sink == 1) std::abort();
-      add_kernel_row("shortcut_flatten", scalar_ms, vector_ms);
-    }
   }
 
   // --- CSR relabel: the reorder subsystem's counting-sort rebuild vs

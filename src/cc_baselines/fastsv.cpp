@@ -32,15 +32,14 @@ core::CcResult fastsv_cc(const graph::CsrGraph& graph,
     return core::load_label(f[core::load_label(f[v])]);
   };
 
-  // Flattens the whole parent forest through the SIMD grandparent-
-  // shortcut kernel.  Each thread sweeps a contiguous slice to its local
-  // fixed point; a barrier round in which no slice changed proves the
-  // global fixed point (a neighbouring slice can lower a parent after
-  // this slice's own sweep stabilises, so one pass is not enough).
-  // Returns whether any entry moved, i.e. the forest was not already a
-  // set of stars — a property of the input state, independent of the
-  // kernel level and of thread count.
-  const auto level = support::simd::effective_level();
+  // Flattens the whole parent forest through the grandparent-shortcut
+  // kernel.  Each thread sweeps a contiguous slice to its local fixed
+  // point; a barrier round in which no slice changed proves the global
+  // fixed point (a neighbouring slice can lower a parent after this
+  // slice's own sweep stabilises, so one pass is not enough).  Returns
+  // whether any entry moved, i.e. the forest was not already a set of
+  // stars — a property of the input state, independent of the thread
+  // count.
   auto flatten_forest = [&]() {
     bool any = false;
     std::atomic<bool> again{true};
@@ -48,7 +47,7 @@ core::CcResult fastsv_cc(const graph::CsrGraph& graph,
       again.store(false, std::memory_order_relaxed);
       support::parallel_region([&](int t, int threads) {
         const auto [begin, end] = support::thread_slice(n, t, threads);
-        if (support::simd::flatten_u32(f.data(), begin, end, level)) {
+        if (support::simd::flatten_u32(f.data(), begin, end)) {
           again.store(true, std::memory_order_relaxed);
         }
       });

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "cc_baselines/concurrent_hook.hpp"
-#include "spmv/engine.hpp"
+#include "core/thrifty.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::baselines {
@@ -12,25 +12,6 @@ namespace thrifty::baselines {
 using graph::EdgeOffset;
 using graph::Label;
 using graph::VertexId;
-
-namespace {
-
-/// Label-propagation finish over the phase-1 component labelling: the
-/// estimated giant holds 0 (bottom), every other phase-1 component a
-/// distinct root-derived label.
-struct FinishProgram {
-  using Value = Label;
-  static constexpr bool kHasBottom = true;
-
-  const Label* initial;
-
-  Value bottom() const { return 0; }
-  Value init(VertexId v) const { return initial[v]; }
-  Value relax(VertexId, VertexId, Value x) const { return x; }
-  std::vector<VertexId> seeds(const graph::CsrGraph&) const { return {}; }
-};
-
-}  // namespace
 
 core::CcResult sampled_lp_cc(const graph::CsrGraph& graph,
                              const core::CcOptions& options) {
@@ -70,17 +51,16 @@ core::CcResult sampled_lp_cc(const graph::CsrGraph& graph,
     comp[v] = (giant && root == *giant) ? 0 : root + 1;
   }
 
-  // Phase 2: label-propagation finish over the unsampled connectivity.
-  spmv::EngineOptions engine_options;
-  engine_options.density_threshold = options.density_threshold;
-  auto finish = spmv::run_min_propagation(
-      graph, FinishProgram{comp.data()}, engine_options);
-  result.labels = std::move(finish.values);
+  // Phase 2: Thrifty's loop finishes over the unsampled connectivity.
+  core::CcResult finish =
+      core::thrifty_propagate(graph, options, std::move(comp));
+  result.labels = std::move(finish.labels);
 
   result.stats.total_ms = timer.elapsed_ms();
   result.stats.num_iterations =
       static_cast<int>(rounds) + finish.stats.num_iterations;
   result.stats.events = finish.stats.events;
+  result.stats.instrumented = finish.stats.instrumented;
   return result;
 }
 

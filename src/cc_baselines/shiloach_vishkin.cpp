@@ -48,19 +48,17 @@ core::CcResult shiloach_vishkin_cc(const graph::CsrGraph& graph,
         }
       }
     }
-    // Shortcut: grandparent-jump sweeps on the SIMD kernel until every
-    // vertex points at a root.  Each thread flattens a contiguous slice
-    // to its local fixed point; the outer loop repeats until a barrier
-    // round in which no slice changed, which proves the global fixed
-    // point (a neighbouring slice can lower a parent after this slice's
-    // own sweep stabilises).
-    const auto level = support::simd::effective_level();
+    // Shortcut: grandparent-jump sweeps until every vertex points at a
+    // root.  Each thread flattens a contiguous slice to its local fixed
+    // point; the outer loop repeats until a barrier round in which no
+    // slice changed, which proves the global fixed point (a neighbouring
+    // slice can lower a parent after this slice's own sweep stabilises).
     std::atomic<bool> flattening{true};
     while (flattening.load(std::memory_order_relaxed)) {
       flattening.store(false, std::memory_order_relaxed);
       support::parallel_region([&](int t, int threads) {
         const auto [begin, end] = support::thread_slice(n, t, threads);
-        if (support::simd::flatten_u32(comp.data(), begin, end, level)) {
+        if (support::simd::flatten_u32(comp.data(), begin, end)) {
           flattening.store(true, std::memory_order_relaxed);
         }
       });

@@ -2,10 +2,8 @@
 
 #include <omp.h>
 
-#include <algorithm>
 #include <atomic>
-#include <unordered_set>
-#include <vector>
+#include <optional>
 
 #include "core/lp_internal.hpp"
 #include "frontier/density.hpp"
@@ -30,109 +28,56 @@ using instrument::IterationRecord;
 
 namespace {
 
-/// The k vertices receiving the smallest labels (0..k-1, in order).
-std::vector<VertexId> select_plant_sites(const CsrGraph& g, PlantSite site,
-                                         int count, std::uint64_t seed) {
+/// Zero Planting (Lines 3-9): labels start at v+1 and label 0 goes to the
+/// plant site — the maximum-degree vertex in real Thrifty (Lines 5-8),
+/// almost surely a hub of the giant component.  Returns the site.
+VertexId plant_zero(const CsrGraph& g, PlantSite site, std::uint64_t seed,
+                    LabelArray& labels) {
   const VertexId n = g.num_vertices();
-  const auto k = static_cast<VertexId>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(count), n));
-  std::vector<VertexId> sites;
-  sites.reserve(k);
-  switch (site) {
-    case PlantSite::kMaxDegree: {
-      // Top-k by degree, ties by smaller id.  Each thread keeps the
-      // top-k of its static vertex range (a sorted candidate buffer with
-      // a reject-early check, so the common case is one comparison per
-      // vertex); the per-thread winners are then merged under the same
-      // total order.  Deterministic for every thread count, and O(n)
-      // instead of the sequential partial_sort's O(n log k).
-      const auto better = [&g](VertexId a, VertexId b) {
-        const auto da = g.degree(a);
-        const auto db = g.degree(b);
-        return da != db ? da > db : a < b;
-      };
-      const int threads = support::num_threads();
-      std::vector<std::vector<VertexId>> local(
-          static_cast<std::size_t>(threads));
-#pragma omp parallel num_threads(threads)
-      {
-        auto& mine =
-            local[static_cast<std::size_t>(support::thread_id())];
-#pragma omp for schedule(static) nowait
-        for (VertexId v = 0; v < n; ++v) {
-          if (mine.size() == k && !better(v, mine.back())) continue;
-          mine.insert(
-              std::upper_bound(mine.begin(), mine.end(), v, better), v);
-          if (mine.size() > k) mine.pop_back();
-        }
-      }
-      std::vector<VertexId> merged;
-      for (const auto& candidates : local) {
-        merged.insert(merged.end(), candidates.begin(), candidates.end());
-      }
-      std::sort(merged.begin(), merged.end(), better);
-      merged.resize(std::min<std::size_t>(merged.size(), k));
-      sites = std::move(merged);
-      break;
-    }
-    case PlantSite::kRandom: {
-      // O(k) hashed membership — the previous linear scan over the sites
-      // vector made k-site selection quadratic in k.
-      std::unordered_set<VertexId> chosen;
-      chosen.reserve(k);
-      std::uint64_t salt = 0xC0FFEE;
-      while (sites.size() < k) {
-        const auto v = static_cast<VertexId>(
-            support::hash_mix(seed, salt++) % n);
-        if (chosen.insert(v).second) sites.push_back(v);
-      }
-      break;
-    }
-    case PlantSite::kFirstVertex: {
-      for (VertexId v = 0; v < k; ++v) sites.push_back(v);
-      break;
-    }
+  // Labels are v + 1; guard the shift against wrap-around.
+  THRIFTY_EXPECTS(n < static_cast<VertexId>(-1) - 1);
+#pragma omp parallel for schedule(static)
+  for (VertexId v = 0; v < n; ++v) {
+    labels[v] = v + 1;
   }
-  return sites;
+  VertexId planted = 0;
+  switch (site) {
+    case PlantSite::kMaxDegree:
+      planted = g.max_degree_vertex();
+      break;
+    case PlantSite::kRandom:
+      planted = static_cast<VertexId>(support::hash_mix(seed, 0xC0FFEE) % n);
+      break;
+    case PlantSite::kFirstVertex:
+      break;
+  }
+  labels[planted] = 0;
+  return planted;
 }
 
-/// Algorithm 2, templated on the counter policy and (for the hot loops)
-/// on whether Zero Convergence is compiled in.  The plant site and the
-/// Initial Push toggle are runtime parameters: they only affect start-up.
+/// Where one run of the loop starts: its labels and, when iteration 0 is
+/// an Initial Push, the planted vertex whose label it pushes.  Without a
+/// push site iteration 0 is a full pull over every vertex.
+struct Start {
+  LabelArray labels;
+  std::optional<VertexId> push_from;
+};
+
+/// Algorithm 2's iteration loop, templated on the counter policy and (for
+/// the hot loops) on whether Zero Convergence is compiled in.
 template <typename Counters, bool kZeroConv>
-CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
-                      const ThriftyVariant& variant,
-                      std::span<const Label> final_labels) {
+CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
+                      Start start, std::span<const Label> final_labels) {
   const VertexId n = g.num_vertices();
   const EdgeOffset m = g.num_directed_edges();
-  THRIFTY_EXPECTS(variant.plant_count >= 1);
-  const auto plant_count = static_cast<VertexId>(variant.plant_count);
-  // Labels are v + plant_count; guard the shift against wrap-around.
-  THRIFTY_EXPECTS(n < static_cast<VertexId>(-1) - plant_count);
 
   CcResult result;
-  result.stats.algorithm = variant.describe();
   result.stats.instrumented = Counters::kEnabled;
-  result.labels = make_label_array(n);
+  result.labels = std::move(start.labels);
   if (n == 0) return result;
   LabelArray& labels = result.labels;
 
   Counters counters;
-  support::Timer total_timer;
-
-  // --- Zero Planting (Lines 3-9): labels start at v+k; the k smallest
-  // labels are reserved for the plant sites — the maximum-degree
-  // vertices in real Thrifty (k = 1 in the paper), almost surely hubs of
-  // the giant component.
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) {
-    labels[v] = v + plant_count;
-  }
-  const std::vector<VertexId> seeds = select_plant_sites(
-      g, variant.plant_site, variant.plant_count, options.seed);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    labels[seeds[i]] = static_cast<Label>(i);
-  }
 
   // Kernel instruction-set level for the dense pull sweeps, resolved
   // once per invocation (THRIFTY_SIMD clamped to host support, scalar
@@ -156,42 +101,37 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
   bool full_pull_done = false;
   int iteration = 0;
 
-  if (variant.initial_push) {
+  if (start.push_from) {
     // --- Initial Push (Lines 11-12): one push traversal of the zero
     // label from the hub to its neighbours — the only edges processed in
     // iteration 0.
+    const VertexId hub = *start.push_from;
     IterationRecord rec;
     rec.index = 0;
     rec.direction = Direction::kInitialPush;
-    rec.active_vertices = seeds.size();
-    EdgeOffset seed_degree_sum = 0;
-    for (const VertexId s : seeds) seed_degree_sum += g.degree(s);
-    rec.density =
-        frontier::frontier_density(seeds.size(), seed_degree_sum, m);
+    rec.active_vertices = 1;
+    rec.density = frontier::frontier_density(1, g.degree(hub), m);
     const auto counters_before = counters.total();
     support::Timer iteration_timer;
 
-    for (std::size_t seed_index = 0; seed_index < seeds.size();
-         ++seed_index) {
-      const auto seed_label = static_cast<Label>(seed_index);
-      const auto seed_neighbors = g.neighbors(seeds[seed_index]);
+    const Label hub_label = labels[hub];
+    const auto hub_neighbors = g.neighbors(hub);
 #pragma omp parallel
-      {
-        const int t = omp_get_thread_num();
+    {
+      const int t = omp_get_thread_num();
 #pragma omp for schedule(static) nowait
-        for (std::size_t i = 0; i < seed_neighbors.size(); ++i) {
-          if (i + support::kPrefetchDistance < seed_neighbors.size()) {
-            support::prefetch_write(
-                &labels[seed_neighbors[i + support::kPrefetchDistance]]);
-          }
-          const VertexId u = seed_neighbors[i];
-          counters.edge();
-          counters.cas_attempt();
-          if (atomic_min(labels[u], seed_label)) {
-            counters.cas_success();
-            counters.label_write();
-            if (next.push(t, u, g.degree(u))) counters.frontier_push();
-          }
+      for (std::size_t i = 0; i < hub_neighbors.size(); ++i) {
+        if (i + support::kPrefetchDistance < hub_neighbors.size()) {
+          support::prefetch_write(
+              &labels[hub_neighbors[i + support::kPrefetchDistance]]);
+        }
+        const VertexId u = hub_neighbors[i];
+        counters.edge();
+        counters.cas_attempt();
+        if (atomic_min(labels[u], hub_label)) {
+          counters.cas_success();
+          counters.label_write();
+          if (next.push(t, u, g.degree(u))) counters.frontier_push();
         }
       }
     }
@@ -214,7 +154,8 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
     have_frontier = true;
     iteration = 1;
   } else {
-    // Ablation: DO-LP-style eager bootstrap — everything active.
+    // No Initial Push (the ablation, or caller-supplied labels): a
+    // DO-LP-style eager bootstrap — everything active.
     active_vertices = n;
     active_edges = m;
   }
@@ -362,20 +303,42 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
     ++iteration;
   }
 
-  result.stats.total_ms = total_timer.elapsed_ms();
   result.stats.num_iterations = iteration;  // Initial Push counted (§V-C)
   result.stats.events = counters.total();
   return result;
 }
 
-template <typename Counters>
-CcResult dispatch_zero_conv(const CsrGraph& g, const CcOptions& options,
-                            const ThriftyVariant& variant,
-                            std::span<const Label> final_labels) {
-  if (variant.zero_convergence) {
-    return thrifty_impl<Counters, true>(g, options, variant, final_labels);
+/// One timed solve: `make_start()` (planting, when the caller plants) and
+/// the loop.
+template <typename Counters, typename MakeStart>
+CcResult timed_solve(const CsrGraph& g, const CcOptions& options,
+                     bool zero_convergence, const MakeStart& make_start,
+                     std::span<const Label> final_labels) {
+  support::Timer timer;
+  CcResult result =
+      zero_convergence
+          ? thrifty_loop<Counters, true>(g, options, make_start(),
+                                         final_labels)
+          : thrifty_loop<Counters, false>(g, options, make_start(),
+                                          final_labels);
+  result.stats.total_ms = timer.elapsed_ms();
+  return result;
+}
+
+/// Honours `options.instrument`: an instrumented run first solves plainly
+/// to learn the final labels its per-iteration convergence counts compare
+/// against, so `make_start` is called once or twice.
+template <typename MakeStart>
+CcResult solve(const CsrGraph& g, const CcOptions& options,
+               bool zero_convergence, const MakeStart& make_start) {
+  if (!options.instrument) {
+    return timed_solve<instrument::NullCounters>(g, options, zero_convergence,
+                                                 make_start, {});
   }
-  return thrifty_impl<Counters, false>(g, options, variant, final_labels);
+  const CcResult reference = timed_solve<instrument::NullCounters>(
+      g, options, zero_convergence, make_start, {});
+  return timed_solve<instrument::ActiveCounters>(
+      g, options, zero_convergence, make_start, reference.label_span());
 }
 
 }  // namespace
@@ -394,22 +357,37 @@ std::string ThriftyVariant::describe() const {
   }
   if (!initial_push) name += "-noinitpush";
   if (!zero_convergence) name += "-nozeroconv";
-  if (plant_count > 1) name += "-plant" + std::to_string(plant_count);
   return name;
 }
 
 CcResult thrifty_cc_variant(const CsrGraph& graph, const CcOptions& options,
                             const ThriftyVariant& variant) {
-  if (!options.instrument) {
-    return dispatch_zero_conv<instrument::NullCounters>(graph, options,
-                                                        variant, {});
-  }
-  CcOptions plain = options;
-  plain.instrument = false;
-  const CcResult reference = dispatch_zero_conv<instrument::NullCounters>(
-      graph, plain, variant, {});
-  return dispatch_zero_conv<instrument::ActiveCounters>(
-      graph, options, variant, reference.label_span());
+  CcResult result =
+      solve(graph, options, variant.zero_convergence, [&] {
+        Start start{make_label_array(graph.num_vertices()), std::nullopt};
+        if (graph.num_vertices() == 0) return start;
+        const VertexId planted = plant_zero(graph, variant.plant_site,
+                                            options.seed, start.labels);
+        if (variant.initial_push) start.push_from = planted;
+        return start;
+      });
+  result.stats.algorithm = variant.describe();
+  return result;
+}
+
+CcResult thrifty_propagate(const CsrGraph& graph, const CcOptions& options,
+                           LabelArray initial) {
+  THRIFTY_EXPECTS(initial.size() == graph.num_vertices());
+  // The last solve takes the caller's array; an instrumented run's plain
+  // reference solve gets a copy.
+  bool copy = options.instrument;
+  CcResult result = solve(graph, options, true, [&] {
+    Start start{copy ? initial : std::move(initial), std::nullopt};
+    copy = false;
+    return start;
+  });
+  result.stats.algorithm = "thrifty_propagate";
+  return result;
 }
 
 CcResult thrifty_cc(const CsrGraph& graph, const CcOptions& options) {

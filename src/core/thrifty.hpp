@@ -17,6 +17,10 @@
 // pull frontiers with a detailed Pull-Frontier iteration just before
 // switching to push, and per-thread push worklists with non-atomic
 // byte-array duplicate suppression and work stealing.
+//
+// The iteration loop exists once.  `thrifty_cc_variant` plants, runs the
+// optional Initial Push and enters it; `thrifty_propagate` enters it from
+// caller-supplied labels (the Sampled+LP hybrid's finish).
 #pragma once
 
 #include <string>
@@ -44,15 +48,6 @@ struct ThriftyVariant {
   bool initial_push = true;
   /// Off: no converged-vertex skipping and no early scan exit.
   bool zero_convergence = true;
-  /// Multi-site planting (extension beyond the paper): the top-k
-  /// highest-degree vertices receive labels 0..k-1 and all of them seed
-  /// the Initial Push; other vertices start at v+k.  Labels stay
-  /// distinct, so correctness is untouched, while graphs with several
-  /// large components (e.g. two giants) converge each around its own
-  /// hub.  Zero Convergence still keys on label 0 only — the global
-  /// minimum is the only provably-final value.  k = 1 is the paper's
-  /// algorithm.  Only meaningful with plant_site == kMaxDegree.
-  int plant_count = 1;
 
   [[nodiscard]] std::string describe() const;
 };
@@ -62,5 +57,16 @@ struct ThriftyVariant {
 [[nodiscard]] CcResult thrifty_cc_variant(const graph::CsrGraph& graph,
                                           const CcOptions& options,
                                           const ThriftyVariant& variant);
+
+/// Thrifty's loop from caller-supplied labels, one per vertex: no planting
+/// and no Initial Push, so iteration 0 is a full pull (the
+/// `initial_push = false` path), followed by Zero-Convergence pulls,
+/// Pull-Frontier and worklist pushes.  Every vertex ends at the minimum
+/// initial label of its component; label 0, if present, is the bottom
+/// Zero Convergence keys on.
+/// `options.instrument` is honoured as in `thrifty_cc_variant`.
+[[nodiscard]] CcResult thrifty_propagate(const graph::CsrGraph& graph,
+                                         const CcOptions& options,
+                                         LabelArray initial);
 
 }  // namespace thrifty::core

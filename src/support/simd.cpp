@@ -132,8 +132,8 @@ void copy_scalar(std::uint32_t* dst, const std::uint32_t* src,
 /// changed.  Entries are read-then-written per element, so a sweep may
 /// observe updates made earlier in the same sweep — harmless, because
 /// flatten loops to the (order-independent) pointer-jump fixed point.
-bool shortcut_sweep_scalar(std::uint32_t* parent, std::size_t begin,
-                           std::size_t end) {
+bool shortcut_sweep(std::uint32_t* parent, std::size_t begin,
+                    std::size_t end) {
   bool changed = false;
   for (std::size_t v = begin; v < end; ++v) {
     const std::uint32_t p = relaxed_load(parent[v]);
@@ -264,30 +264,6 @@ __attribute__((target("avx2"))) void copy_avx2(std::uint32_t* dst,
   for (; i < count; ++i) dst[i] = src[i];
 }
 
-__attribute__((target("avx2"))) bool shortcut_sweep_avx2(
-    std::uint32_t* parent, std::size_t begin, std::size_t end) {
-  std::size_t v = begin;
-  bool changed = false;
-  for (; v + 8 <= end; v += 8) {
-    const __m256i p = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(parent + v));
-    const __m256i g = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(parent), p, 4);
-    // Unsigned g < p as min_epu32(g, p) == g && g != p.
-    const __m256i m = _mm256_min_epu32(g, p);
-    const __m256i less = _mm256_andnot_si256(
-        _mm256_cmpeq_epi32(m, p), _mm256_cmpeq_epi32(m, g));
-    if (_mm256_movemask_epi8(less) != 0) {
-      // Masked store: untouched lanes stay unwritten, so concurrent
-      // gathers from other threads never observe a redundant rewrite.
-      _mm256_maskstore_epi32(reinterpret_cast<int*>(parent + v), less, g);
-      changed = true;
-    }
-  }
-  if (v < end) changed |= shortcut_sweep_scalar(parent, v, end);
-  return changed;
-}
-
 // -------------------------------------------------------------------
 // AVX-512 variants (16 × u32 lanes, 8 × u64 lanes).  Only AVX-512F is
 // assumed; the VPOPCNTDQ popcount probes its own feature bit and falls
@@ -401,47 +377,11 @@ __attribute__((target("avx512f"))) void copy_avx512(
   for (; i < count; ++i) dst[i] = src[i];
 }
 
-__attribute__((target("avx512f"))) bool shortcut_sweep_avx512(
-    std::uint32_t* parent, std::size_t begin, std::size_t end) {
-  std::size_t v = begin;
-  bool changed = false;
-  for (; v + 16 <= end; v += 16) {
-    const __m512i p =
-        _mm512_loadu_si512(static_cast<const void*>(parent + v));
-    const __m512i g = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), 0xffff, p, parent, 4);
-    const __mmask16 less = _mm512_cmplt_epu32_mask(g, p);
-    if (less != 0) {
-      _mm512_mask_storeu_epi32(static_cast<void*>(parent + v), less, g);
-      changed = true;
-    }
-  }
-  if (v < end) changed |= shortcut_sweep_scalar(parent, v, end);
-  return changed;
-}
-
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
 #endif  // THRIFTY_SIMD_X86
-
-bool shortcut_sweep(std::uint32_t* parent, std::size_t begin,
-                    std::size_t end, SimdLevel level) {
-#if defined(THRIFTY_SIMD_X86)
-  switch (level) {
-    case SimdLevel::kAvx512:
-      return shortcut_sweep_avx512(parent, begin, end);
-    case SimdLevel::kAvx2:
-      return shortcut_sweep_avx2(parent, begin, end);
-    default:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  return shortcut_sweep_scalar(parent, begin, end);
-}
 
 }  // namespace
 
@@ -565,10 +505,10 @@ void copy_u32(std::uint32_t* dst, const std::uint32_t* src,
   copy_scalar(dst, src, count);
 }
 
-bool flatten_u32(std::uint32_t* parent, std::size_t begin, std::size_t end,
-                 SimdLevel level) {
+bool flatten_u32(std::uint32_t* parent, std::size_t begin,
+                 std::size_t end) {
   bool any = false;
-  while (shortcut_sweep(parent, begin, end, level)) any = true;
+  while (shortcut_sweep(parent, begin, end)) any = true;
   return any;
 }
 

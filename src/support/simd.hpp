@@ -21,7 +21,7 @@
 // Bit-identity contract: for any input, every variant of a kernel
 // returns exactly the bytes the scalar variant returns.  Each kernel
 // computes an order-independent function (min, equality count,
-// population count, fill, copy, pointer-jump fixed point), so lane
+// population count, fill, copy), so lane
 // width cannot leak into results and the crosscheck/metamorphic
 // harness can differential-test variants against the scalar oracle.
 //
@@ -109,19 +109,18 @@ void copy_u32(std::uint32_t* dst, const std::uint32_t* src,
               std::size_t count, SimdLevel level);
 
 /// Pointer-jumps parent[begin..end) to its fixed point: sweeps
-/// parent[v] = parent[parent[v]] (gather of the grandparent, masked
-/// update where it is smaller) until the range is stable, i.e. every
-/// entry in the range points at a root.  Indices may reach outside
-/// [begin, end) — gathers read the whole array — which is what lets
-/// callers run one flatten per thread over a static partition.
-/// Returns true when any entry changed, which is exactly "some entry
-/// was not already pointing at a root": lane width affects how many
-/// sweeps convergence takes, never the final bytes or the flag.
+/// parent[v] = parent[parent[v]] where the grandparent is smaller, until
+/// the range is stable, i.e. every entry in the range points at a root.
+/// Indices may reach outside [begin, end) — reads cover the whole array
+/// — which is what lets callers run one flatten per thread over a static
+/// partition.  Returns true when any entry changed, which is exactly
+/// "some entry was not already pointing at a root".  Scalar only: a
+/// gather-based AVX2/AVX-512 sweep measured slower than this loop.
 ///
 /// Requires parent[v] <= v-ish monotonicity only in the sense every
 /// union-find forest provides: chains terminate at a self-loop root.
 bool flatten_u32(std::uint32_t* parent, std::size_t begin,
-                 std::size_t end, SimdLevel level);
+                 std::size_t end);
 
 }  // namespace simd
 }  // namespace thrifty::support

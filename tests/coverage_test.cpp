@@ -1,11 +1,12 @@
 // Cross-cutting behaviours not pinned down by the per-module suites:
-// engine direction scheduling, registry threshold policy, and assorted
+// Thrifty direction scheduling, registry threshold policy, and assorted
 // edge cases.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "cc_baselines/registry.hpp"
+#include "core/thrifty.hpp"
 #include "core/verify.hpp"
 #include "gen/combine.hpp"
 #include "gen/rmat.hpp"
@@ -13,8 +14,6 @@
 #include "graph/builder.hpp"
 #include "instrument/csv_export.hpp"
 #include "reorder/reorder.hpp"
-#include "spmv/engine.hpp"
-#include "spmv/program.hpp"
 
 namespace thrifty {
 namespace {
@@ -36,12 +35,12 @@ CsrGraph star_with_tail() {
   return graph::build_csr(edges, 4096 + tail_len).graph;
 }
 
-TEST(SpmvScheduling, PushIterationsAppearOnSparseTails) {
+TEST(ThriftyScheduling, PushIterationsAppearOnSparseTails) {
   const CsrGraph g = star_with_tail();
-  spmv::EngineOptions options;
+  core::CcOptions options;
+  options.instrument = true;
   options.density_threshold = 0.05;
-  const auto result =
-      spmv::run_min_propagation(g, spmv::CcProgram(g), options);
+  const auto result = core::thrifty_cc(g, options);
   bool saw_push = false;
   bool saw_pull_frontier = false;
   for (const auto& it : result.stats.iterations) {
@@ -53,20 +52,17 @@ TEST(SpmvScheduling, PushIterationsAppearOnSparseTails) {
   EXPECT_TRUE(saw_pull_frontier);
 }
 
-TEST(SpmvScheduling, ZeroThresholdMeansNoPush) {
+TEST(ThriftyScheduling, ZeroThresholdMeansNoPush) {
   const CsrGraph g = star_with_tail();
-  spmv::EngineOptions options;
+  core::CcOptions options;
+  options.instrument = true;
   options.density_threshold = 0.0;
-  const auto result =
-      spmv::run_min_propagation(g, spmv::CcProgram(g), options);
+  const auto result = core::thrifty_cc(g, options);
   for (const auto& it : result.stats.iterations) {
     EXPECT_NE(it.direction, instrument::Direction::kPush);
   }
   // Still exact.
-  EXPECT_EQ(core::count_components(
-                std::vector<graph::Label>(result.values.begin(),
-                                          result.values.end())),
-            1u);
+  EXPECT_EQ(core::count_components(result.label_span()), 1u);
 }
 
 TEST(RegistryPolicy, RunAlgorithmAppliesOwnThreshold) {

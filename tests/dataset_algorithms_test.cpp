@@ -12,8 +12,6 @@
 #include "core/cc_common.hpp"
 #include "core/thrifty.hpp"
 #include "core/verify.hpp"
-#include "spmv/engine.hpp"
-#include "spmv/program.hpp"
 #include "support/env.hpp"
 
 namespace thrifty {
@@ -37,19 +35,6 @@ TEST_P(DatasetAlgorithmSweep, HeadlineAlgorithmsExactOnStandIn) {
     EXPECT_TRUE(verdict.valid)
         << name << " on " << spec->name << ": " << verdict.message;
     EXPECT_EQ(verdict.components, truth) << name;
-  }
-}
-
-TEST_P(DatasetAlgorithmSweep, SpmvEngineAgreesWithThriftyOnStandIn) {
-  const bench::DatasetSpec* spec = bench::find_dataset(GetParam());
-  ASSERT_NE(spec, nullptr);
-  const graph::CsrGraph g = bench::build_dataset(*spec, Scale::kTiny);
-  const auto engine =
-      spmv::run_min_propagation(g, spmv::CcProgram(g));
-  const auto thrifty_run = core::thrifty_cc(g);
-  ASSERT_EQ(engine.values.size(), thrifty_run.labels.size());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(engine.values[v], thrifty_run.labels[v]) << "vertex " << v;
   }
 }
 

@@ -113,7 +113,9 @@ TEST(SampledLp, GiantComponentGetsZeroLabel) {
 
 TEST(SampledLp, ProcessesFewEdgesOnSkewedGraphs) {
   const CsrGraph g = skewed_graph(13, 12);
-  const auto result = sampled_lp_cc(g);
+  core::CcOptions options;
+  options.instrument = true;  // edge events are counted only when traced
+  const auto result = sampled_lp_cc(g, options);
   // The LP finish only has to close the gap the sampling left: its edge
   // work stays a small multiple of |V| rather than |E| passes.
   EXPECT_LT(result.stats.edges_processed_fraction(g.num_directed_edges()),
@@ -129,6 +131,13 @@ TEST(SampledLp, SampleRoundsSweepStaysCorrect) {
     EXPECT_TRUE(core::verify_labels(g, result.label_span()).valid)
         << "rounds " << rounds;
   }
+  // No component sample: no giant estimate and no label 0, so the finish
+  // runs without the Zero-Convergence exit.
+  core::CcOptions options;
+  options.component_sample_size = 0;
+  const auto result = sampled_lp_cc(g, options);
+  EXPECT_TRUE(core::verify_labels(g, result.label_span()).valid);
+  EXPECT_GT(core::largest_component(result.label_span()).label, 0u);
 }
 
 TEST(SampledLp, ManySmallComponentsStayDistinct) {

@@ -224,17 +224,13 @@ TEST(SimdKernels, FlattenReachesFixpointOnChainsStarsAndForests) {
     for (const auto& forest : forests) {
       const std::vector<std::uint32_t> expected = flattened(forest);
       const bool expect_changed = forest != expected;
-      for (const SimdLevel level : testable_levels()) {
-        std::vector<std::uint32_t> parent = forest;
-        const bool changed =
-            simd::flatten_u32(parent.data(), 0, parent.size(), level);
-        EXPECT_EQ(parent, expected)
-            << "n=" << n << " level=" << support::to_string(level);
-        EXPECT_EQ(changed, expect_changed)
-            << "n=" << n << " level=" << support::to_string(level);
-        for (std::size_t v = 0; v < parent.size(); ++v) {
-          ASSERT_EQ(parent[v], parent[parent[v]]) << "v=" << v;
-        }
+      std::vector<std::uint32_t> parent = forest;
+      const bool changed =
+          simd::flatten_u32(parent.data(), 0, parent.size());
+      EXPECT_EQ(parent, expected) << "n=" << n;
+      EXPECT_EQ(changed, expect_changed) << "n=" << n;
+      for (std::size_t v = 0; v < parent.size(); ++v) {
+        ASSERT_EQ(parent[v], parent[parent[v]]) << "v=" << v;
       }
     }
   }
@@ -244,15 +240,13 @@ TEST(SimdKernels, FlattenSubrangeTouchesOnlyItsSlice) {
   // Per-thread callers flatten [begin, end) while gathering globally.
   const std::vector<std::uint32_t> forest = random_forest(200, 0x99);
   const std::vector<std::uint32_t> expected_full = flattened(forest);
-  for (const SimdLevel level : testable_levels()) {
-    std::vector<std::uint32_t> parent = forest;
-    simd::flatten_u32(parent.data(), 50, 150, level);
-    for (std::size_t v = 0; v < parent.size(); ++v) {
-      if (v >= 50 && v < 150) {
-        EXPECT_EQ(parent[v], expected_full[v]) << "v=" << v;
-      } else {
-        EXPECT_EQ(parent[v], forest[v]) << "v=" << v;
-      }
+  std::vector<std::uint32_t> parent = forest;
+  simd::flatten_u32(parent.data(), 50, 150);
+  for (std::size_t v = 0; v < parent.size(); ++v) {
+    if (v >= 50 && v < 150) {
+      EXPECT_EQ(parent[v], expected_full[v]) << "v=" << v;
+    } else {
+      EXPECT_EQ(parent[v], forest[v]) << "v=" << v;
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <random>
 #include <vector>
 
 #include "core/dolp.hpp"
@@ -254,6 +256,49 @@ TEST(Thrifty, LabelsAreZeroOrVertexPlusOneValues) {
   }
 }
 
+TEST(ThriftyPropagate, ConvergesToPerComponentMinimumOfInitialLabels) {
+  // A skewed graph plus a path and a star.  Caller labels: 0 on a region
+  // (every seventh vertex of the lower half, spread over several
+  // components), distinct shuffled values from 1 elsewhere.
+  gen::RmatParams params;
+  params.scale = 11;
+  params.edge_factor = 8;
+  const std::vector<graph::EdgeList> parts{
+      gen::rmat_edges(params), gen::path_edges(64), gen::star_edges(64)};
+  const std::vector<VertexId> sizes{1u << 11, 64, 64};
+  const CsrGraph g = graph::build_csr(gen::disjoint_union(parts, sizes),
+                                      (1u << 11) + 128)
+                         .graph;
+  const VertexId n = g.num_vertices();
+  std::vector<Label> values(n);
+  std::iota(values.begin(), values.end(), Label{1});
+  std::shuffle(values.begin(), values.end(), std::mt19937(7));
+  for (VertexId v = 0; v < n / 2; v += 7) values[v] = 0;
+  const LabelArray initial(values.begin(), values.end());
+
+  // Expected: the minimum initial label of each reference component.
+  const auto component = canonical_labels(thrifty_cc(g).label_span());
+  std::vector<Label> minimum(n, static_cast<Label>(-1));
+  for (VertexId v = 0; v < n; ++v) {
+    minimum[component[v]] = std::min(minimum[component[v]], values[v]);
+  }
+
+  const CcResult plain = thrifty_propagate(g, {}, initial);
+  const CcResult traced = thrifty_propagate(g, instrumented(), initial);
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(plain.labels[v], minimum[component[v]]) << "vertex " << v;
+    ASSERT_EQ(traced.labels[v], plain.labels[v]) << "vertex " << v;
+  }
+  EXPECT_FALSE(plain.stats.instrumented);
+  EXPECT_TRUE(traced.stats.instrumented);
+  // No Initial Push: iteration 0 is a full pull over every vertex.
+  ASSERT_FALSE(traced.stats.iterations.empty());
+  EXPECT_EQ(traced.stats.iterations.front().direction, Direction::kPull);
+  EXPECT_EQ(traced.stats.iterations.front().active_vertices, n);
+  EXPECT_EQ(traced.stats.iterations.back().converged_vertices, n);
+  EXPECT_GT(traced.stats.events.skipped_converged, 0u);
+}
+
 // Hub-shaped graphs at 1, 2 and 4 threads: push iterations consume the
 // frontier through the paper's per-thread worklists with work stealing,
 // so the thread count changes only which thread visits which vertex.
@@ -282,7 +327,7 @@ TEST(ThriftyStar, SkewedLabelsIdenticalAcrossThreadCounts) {
     const CcResult parallel = thrifty_cc(g);
     ASSERT_TRUE(verify_labels(g, parallel.label_span()).valid);
     // Labels are identical, not merely partition-equivalent: the planted
-    // zero and the v+k fallback labels are order-independent minima.
+    // zero and the v+1 fallback labels are order-independent minima.
     EXPECT_EQ(parallel.labels.size(), serial.labels.size());
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(parallel.labels[v], serial.labels[v])
