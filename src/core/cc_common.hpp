@@ -12,8 +12,6 @@
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
 #include "instrument/run_stats.hpp"
-#include "support/run_config.hpp"
-#include "support/topology.hpp"
 #include "support/uninit_vector.hpp"
 
 namespace thrifty::core {
@@ -22,17 +20,11 @@ namespace thrifty::core {
 /// happens in the algorithm's parallel initialisation loop.
 using LabelArray = support::UninitVector<graph::Label>;
 
-/// Allocates the per-vertex label array and applies the configured page
-/// placement policy (RunConfig::placement).  Under the default
-/// first-touch policy this is a plain uninitialised allocation — pages
-/// fault in inside the caller's parallel init loop, landing on the node
-/// of the thread that will traverse them; interleave/os pre-touch the
-/// pages here instead (ablation modes for bench_numa_placement).
+/// Allocates the per-vertex label array uninitialised.  Its pages
+/// fault in inside the caller's parallel init loop, on the node of the
+/// thread that will traverse them (first touch).
 [[nodiscard]] inline LabelArray make_label_array(std::uint64_t n) {
-  LabelArray labels(static_cast<std::size_t>(n));
-  support::place_array(labels.data(), labels.size(),
-                       support::run_config().placement);
-  return labels;
+  return LabelArray(static_cast<std::size_t>(n));
 }
 
 struct CcOptions {

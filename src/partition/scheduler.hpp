@@ -10,15 +10,10 @@
 // exchange arbitrates — simple, correct, and O(#partitions) bookkeeping
 // which is negligible at 32 partitions per thread.
 //
-// NUMA awareness: because partitions are contiguous vertex ranges and
-// blocks of them are owned by consecutive threads, close thread binding
-// makes each socket own a contiguous CSR slice whose pages were
-// first-touched locally.  Stealing order therefore matters: under
-// RunConfig::numa_steal == kLocal (the default) each thread's victim
-// list is re-sorted so same-node victims come first — work crosses the
-// interconnect only once every local block is drained.  kGlobal keeps
-// the node-oblivious nearest-first order; on a single-node host the two
-// orders are identical.
+// Thieves visit victims nearest first, (self + 1) % threads onwards.
+// Blocks are contiguous vertex ranges owned by consecutive threads, so
+// the pages a thief takes over were first-touched by a neighbouring
+// thread.
 #pragma once
 
 #include <atomic>
@@ -29,8 +24,6 @@
 #include "partition/edge_partitioner.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
-#include "support/run_config.hpp"
-#include "support/topology.hpp"
 
 namespace thrifty::partition {
 
@@ -46,7 +39,6 @@ class PartitionScheduler {
                        static_cast<std::size_t>(partitions_per_thread))),
         claimed_(ranges_.size()) {
     THRIFTY_EXPECTS(partitions_per_thread > 0);
-    build_victim_order();
   }
 
   [[nodiscard]] const std::vector<VertexRange>& partitions() const {
@@ -73,15 +65,11 @@ class PartitionScheduler {
       for (std::size_t p = own_begin; p < own_begin + per_thread; ++p) {
         if (try_claim(p)) body(self, ranges_[p]);
       }
-      // Steal: visit victims in the precomputed order (same-node first
-      // under kLocal, plain nearest-first under kGlobal), scanning each
-      // victim's block in descending order.
-      const std::size_t row =
-          static_cast<std::size_t>(self) * victims_per_thread();
-      for (std::size_t v = 0; v < victims_per_thread(); ++v) {
-        const int victim = victim_order_[row + v];
+      // Steal: visit victims nearest first, scanning each victim's
+      // block in descending order.
+      for (int step = 1; step < threads; ++step) {
         const std::size_t victim_begin =
-            static_cast<std::size_t>(victim) * per_thread;
+            static_cast<std::size_t>((self + step) % threads) * per_thread;
         for (std::size_t k = per_thread; k-- > 0;) {
           const std::size_t p = victim_begin + k;
           if (try_claim(p)) body(self, ranges_[p]);
@@ -90,45 +78,7 @@ class PartitionScheduler {
     }
   }
 
-  /// Victims thread `self` will visit, in steal order (tests/tools).
-  [[nodiscard]] std::vector<int> victim_order(int self) const {
-    const std::size_t row =
-        static_cast<std::size_t>(self) * victims_per_thread();
-    return {victim_order_.begin() + static_cast<std::ptrdiff_t>(row),
-            victim_order_.begin() +
-                static_cast<std::ptrdiff_t>(row + victims_per_thread())};
-  }
-
  private:
-  [[nodiscard]] std::size_t victims_per_thread() const {
-    return static_cast<std::size_t>(threads_ > 0 ? threads_ - 1 : 0);
-  }
-
-  void build_victim_order() {
-    const bool local_first =
-        support::run_config().numa_steal == support::StealScope::kLocal;
-    const std::vector<int> nodes = support::thread_nodes(
-        support::system_topology(), threads_);
-    victim_order_.reserve(static_cast<std::size_t>(threads_) *
-                          victims_per_thread());
-    for (int self = 0; self < threads_; ++self) {
-      // Nearest-first wrapped order, stably partitioned so same-node
-      // victims precede remote ones when stealing locally.
-      std::vector<int> remote;
-      for (int step = 1; step < threads_; ++step) {
-        const int victim = (self + step) % threads_;
-        if (local_first && nodes[static_cast<std::size_t>(victim)] !=
-                               nodes[static_cast<std::size_t>(self)]) {
-          remote.push_back(victim);
-        } else {
-          victim_order_.push_back(victim);
-        }
-      }
-      victim_order_.insert(victim_order_.end(), remote.begin(),
-                           remote.end());
-    }
-  }
-
   bool try_claim(std::size_t partition) {
     return claimed_[partition].exchange(1, std::memory_order_acquire) == 0;
   }
@@ -137,8 +87,6 @@ class PartitionScheduler {
   int per_thread_;
   std::vector<VertexRange> ranges_;
   std::vector<std::atomic<std::uint8_t>> claimed_;
-  /// threads_ rows of (threads_ - 1) victim ids, row per stealing thread.
-  std::vector<int> victim_order_;
 };
 
 }  // namespace thrifty::partition

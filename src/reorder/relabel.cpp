@@ -131,18 +131,6 @@ RelabelReport validate_relabel(std::span<const VertexId> perm, VertexId n) {
   return report;
 }
 
-Permutation compose(std::span<const VertexId> first,
-                    std::span<const VertexId> second) {
-  THRIFTY_EXPECTS(first.size() == second.size());
-  const auto n = static_cast<VertexId>(first.size());
-  Permutation result(n);
-  support::parallel_for(n, [&](VertexId v) {
-    THRIFTY_EXPECTS(first[v] < n);
-    result[v] = second[first[v]];
-  });
-  return result;
-}
-
 std::vector<Label> map_labels_back(std::span<const Label> reordered_labels,
                                    std::span<const VertexId> perm) {
   THRIFTY_EXPECTS(reordered_labels.size() == perm.size());

@@ -1,6 +1,6 @@
-// Relabel-array validation, composition and result map-back — the trust
-// boundary of the reordering subsystem, in the style of the CSR invariant
-// checker (graph/validate.hpp).
+// Relabel-array validation and result map-back — the trust boundary of
+// the reordering subsystem, in the style of the CSR invariant checker
+// (graph/validate.hpp).
 //
 // A relabel array claims to be a bijection on [0, n).  Arrays built by
 // reorder.cpp are bijections by construction, but arrays arriving from a
@@ -76,15 +76,6 @@ struct RelabelReport {
 /// the reported sites are deterministic.
 [[nodiscard]] RelabelReport validate_relabel(
     std::span<const graph::VertexId> perm, graph::VertexId n);
-
-/// Composition: applying `first` then `second` —
-/// `compose(first, second)[v] == second[first[v]]`.  The two arrays must
-/// have equal size and `first` must be range-valid (checked).  Composes
-/// with the permutations of gen/combine.hpp (same `perm[old] == new`
-/// convention), so generator-side shuffles and reorder-side orders chain
-/// into one relabel array.
-[[nodiscard]] Permutation compose(std::span<const graph::VertexId> first,
-                                  std::span<const graph::VertexId> second);
 
 /// Maps per-vertex labels computed on a reordered graph back to the
 /// original id space: result[v] is old vertex v's label, with label

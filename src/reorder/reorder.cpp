@@ -10,8 +10,6 @@
 #include "support/math.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/run_config.hpp"
-#include "support/topology.hpp"
 #include "support/uninit_vector.hpp"
 
 namespace thrifty::reorder {
@@ -329,8 +327,6 @@ CsrGraph apply_permutation(const CsrGraph& graph, const Permutation& perm) {
     degree[perm[v]] = graph.degree(v);
   });
   UninitVector<EdgeOffset> offsets(static_cast<std::size_t>(n) + 1);
-  support::place_array(offsets.data(), offsets.size(),
-                       support::run_config().placement);
   support::parallel_exclusive_scan(degree.data(), n, offsets.data());
   // Overflow-checked edge-count cross-check: the relabelled degrees must
   // add back up to the directed edge count.  A duplicated target in a
@@ -403,8 +399,6 @@ CsrGraph apply_permutation(const CsrGraph& graph, const Permutation& perm) {
     }
   });
   UninitVector<VertexId> neighbors(m);
-  support::place_array(neighbors.data(), neighbors.size(),
-                       support::run_config().placement);
 #pragma omp parallel num_threads(threads)
   {
 #pragma omp for schedule(static, 1)

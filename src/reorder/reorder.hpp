@@ -117,8 +117,8 @@ struct HubClusterParams {
 /// Parallel counting-sort rebuild: because new-id sources are scattered
 /// in ascending order through per-(thread, destination) cursors, every
 /// adjacency list materialises already sorted — no per-vertex sort pass.
-/// Offsets/neighbour arrays follow the core::make_label_array placement
-/// conventions, so reordered graphs keep the NUMA first-touch story.
+/// Offsets and neighbour arrays are uninitialised allocations whose
+/// first touch is the parallel scan and scatter that fill them.
 [[nodiscard]] graph::CsrGraph apply_permutation(
     const graph::CsrGraph& graph, const Permutation& perm);
 

@@ -1,6 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -12,6 +14,27 @@ using graph::Edge;
 using graph::VertexId;
 
 namespace {
+
+/// Edges `ingest N` reserves up front; the batch grows past it only as
+/// edge lines actually arrive, so a large N costs nothing by itself.
+constexpr std::uint64_t kIngestReserveEdges = std::uint64_t{1} << 16;
+
+enum class LineRead { kLine, kTooLong, kEnd };
+
+/// std::getline bounded by kMaxLineBytes: an overlong line is discarded
+/// through its newline and reported as kTooLong.
+LineRead read_line(std::istream& in, std::string& line) {
+  line.clear();
+  for (int c = in.get(); c != std::char_traits<char>::eof(); c = in.get()) {
+    if (c == '\n') return LineRead::kLine;
+    if (line.size() == kMaxLineBytes) {
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      return LineRead::kTooLong;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+  return line.empty() ? LineRead::kEnd : LineRead::kLine;
+}
 
 Response err(std::string why) {
   Response response;
@@ -88,10 +111,12 @@ Response handle_ingest(ConnectivityService& service,
   }
   if (n > (std::uint64_t{1} << 28)) return err("ingest count too large");
   std::vector<Edge> batch;
-  batch.reserve(n);
+  batch.reserve(std::min(n, kIngestReserveEdges));
   std::string line;
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!std::getline(in, line)) {
+    const LineRead read = read_line(in, line);
+    if (read == LineRead::kTooLong) return err("line too long");
+    if (read == LineRead::kEnd) {
       return err("ingest truncated after " + std::to_string(i) + " of " +
                  std::to_string(n) + " edges");
     }
@@ -216,8 +241,10 @@ std::uint64_t serve_session(ConnectivityService& service, std::istream& in,
                             std::ostream& out) {
   std::uint64_t errors = 0;
   std::string line;
-  while (std::getline(in, line)) {
-    const Response response = handle_command(service, line, in);
+  for (LineRead read; (read = read_line(in, line)) != LineRead::kEnd;) {
+    const Response response = read == LineRead::kTooLong
+                                  ? err("line too long")
+                                  : handle_command(service, line, in);
     if (!response.text.empty()) out << response.text << "\n";
     out.flush();
     if (!response.ok) ++errors;

@@ -20,17 +20,26 @@
 //   help                    -> OK <n> \n usage lines
 //   quit                    -> OK bye  (sets Response::quit)
 //
+// A line longer than kMaxLineBytes (a command or an ingest edge line)
+// is discarded through its newline and answered "ERR line too long";
+// the session goes on.
+//
 // Handlers are thread-safe: queries pin an epoch, mutations go through
 // the service's serialised writer path, so concurrent socket clients
 // need no locking of their own.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "serve/service.hpp"
 
 namespace thrifty::serve {
+
+/// Longest line, newline excluded, the protocol reads.  Longer edge
+/// batches go through `ingest N`.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 16;
 
 struct Response {
   /// Full response text, possibly multi-line, without a trailing

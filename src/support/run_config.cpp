@@ -22,16 +22,6 @@ RunConfig run_config_from_env() {
   config.scale = scale_text ? parse_scale(*scale_text) : Scale::kSmall;
   config.bench_trials = static_cast<int>(
       std::max<std::int64_t>(1, env_int("THRIFTY_BENCH_TRIALS", 3)));
-  if (const auto text = env_string("THRIFTY_PLACEMENT")) {
-    if (const auto placement = parse_placement(*text)) {
-      config.placement = *placement;
-    }
-  }
-  if (const auto text = env_string("THRIFTY_NUMA_STEAL")) {
-    if (const auto scope = parse_steal_scope(*text)) {
-      config.numa_steal = *scope;
-    }
-  }
   if (const auto text = env_string("THRIFTY_SIMD")) {
     if (const auto level = parse_simd_level(*text)) {
       config.simd = *level;

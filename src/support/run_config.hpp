@@ -28,11 +28,11 @@ struct RunConfig {
   Scale scale = Scale::kSmall;
   /// Benchmark harness trial count (THRIFTY_BENCH_TRIALS), >= 1.
   int bench_trials = 3;
-  /// Page-placement policy for hot arrays (THRIFTY_PLACEMENT:
-  /// firsttouch | interleave | os).
+  /// Inert: first touch is the only page placement, so nothing reads
+  /// this field and nothing sets it.  Printed by perfbench only.
   Placement placement = Placement::kFirstTouch;
-  /// Work-stealing scope for the partition scheduler
-  /// (THRIFTY_NUMA_STEAL: local | global).
+  /// Inert: nearest-first is the only steal order, so nothing reads
+  /// this field and nothing sets it.  Printed by perfbench only.
   StealScope numa_steal = StealScope::kLocal;
   /// Requested kernel instruction-set ceiling (THRIFTY_SIMD:
   /// auto | scalar | avx2 | avx512).  kAuto resolves to the best level

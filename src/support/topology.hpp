@@ -1,106 +1,30 @@
-// NUMA topology detection and memory-placement policy.
+// Inert placement and steal-scope names, kept only because perfbench
+// prints them.
 //
-// Thrifty's kernels are bandwidth-bound (§V of the paper measures DRAM
-// traffic as the first-order cost), so *where* the hot arrays live
-// matters as much as how many instructions touch them.  This header
-// provides the three ingredients of the NUMA-aware data path:
-//
-//   1. topology detection — sockets and the cpu→node map, read from
-//      sysfs with an injectable root so tests can fake single-node,
-//      dual-node and asymmetric machines.  No libnuma dependency: a
-//      host without /sys/devices/system/node degrades to one node.
-//   2. a thread→node assignment modelling close/compact binding, which
-//      the partition scheduler uses to steal within a socket before
-//      crossing the interconnect.
-//   3. page-placement helpers implementing the RunConfig `placement`
-//      knob: first-touch (pages paged in by the threads that will
-//      traverse them — the default, and what the parallel static init
-//      loops already do), interleave (round-robin pre-touch), and `os`
-//      (serial pre-touch from the calling thread, modelling the naive
-//      allocate-and-memset-on-main data path).
+// The paper ran on multi-socket machines with interleaved memory (§V).
+// This library has one placement, first touch: every hot array is an
+// uninitialised allocation whose pages fault in inside the caller's
+// parallel init loop.  The partition scheduler has one steal order,
+// nearest first.  Neither enum is read by any solver.
 #pragma once
-
-#include <cstddef>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 namespace thrifty::support {
 
-struct NumaTopology {
-  /// Number of NUMA nodes (sockets); at least 1.
-  int num_nodes = 1;
-  /// Logical cpus in ascending id order, as (cpu id, node id) pairs.
-  /// Non-contiguous cpu ids (offline cpus, weird firmware) are fine.
-  std::vector<std::pair<int, int>> cpus;
-
-  [[nodiscard]] int num_cpus() const {
-    return static_cast<int>(cpus.size());
-  }
-  /// Cpus per node, indexed by node id.
-  [[nodiscard]] std::vector<int> node_cpu_counts() const;
-};
-
-/// Parses a sysfs cpulist ("0-3,8-11,15") into ascending cpu ids.
-/// Malformed chunks are skipped rather than fatal — topology detection
-/// must never take the process down.
-[[nodiscard]] std::vector<int> parse_cpu_list(std::string_view text);
-
-/// Reads the node layout from a sysfs tree (`<root>/node<k>/cpulist`).
-/// Falls back to a single node holding hardware_concurrency cpus when
-/// the tree is missing or unreadable.
-[[nodiscard]] NumaTopology detect_topology(
-    const std::string& sysfs_node_root);
-
-/// The host's topology, detected once from /sys/devices/system/node and
-/// cached for the life of the process.
-[[nodiscard]] const NumaTopology& system_topology();
-
-/// Node assignment for OpenMP threads 0..num_threads-1 under
-/// close/compact binding: thread t sits on the node of the t-th cpu (in
-/// id order), wrapping when threads oversubscribe cpus.  This is the
-/// assignment OMP_PLACES=cores OMP_PROC_BIND=close produces; without
-/// pinning it is a best-effort locality model, and on one node it is
-/// all zeros.
-[[nodiscard]] std::vector<int> thread_nodes(const NumaTopology& topology,
-                                            int num_threads);
-
-/// Memory-placement policy for the hot arrays (labels, frontier
-/// bitmaps).  THRIFTY_PLACEMENT / RunConfig::placement.
+/// Memory-placement policy for the hot arrays.  Printed by perfbench
+/// only.
 enum class Placement {
-  kFirstTouch,  ///< pages touched by their traversing threads (default)
-  kInterleave,  ///< pages pre-touched round-robin across threads
-  kOs,          ///< pages pre-touched serially by the calling thread
+  kFirstTouch,  ///< pages touched by their traversing threads
 };
 
-/// Work-stealing scope for the partition scheduler.
-/// THRIFTY_NUMA_STEAL / RunConfig::numa_steal.
+/// Work-stealing scope for the partition scheduler.  Printed by
+/// perfbench only.
 enum class StealScope {
-  kLocal,   ///< steal from same-node victims first, remote last
-  kGlobal,  ///< node-oblivious nearest-first order (pre-NUMA behaviour)
+  kLocal,  ///< nearest-first victim order
 };
 
-[[nodiscard]] const char* to_string(Placement placement);
-[[nodiscard]] const char* to_string(StealScope scope);
-[[nodiscard]] std::optional<Placement> parse_placement(
-    std::string_view text);
-[[nodiscard]] std::optional<StealScope> parse_steal_scope(
-    std::string_view text);
-
-/// Pre-faults the pages of a freshly allocated, not-yet-initialised
-/// buffer according to `placement` by writing one zero byte per page:
-/// kInterleave round-robins pages across an OpenMP team, kOs touches
-/// them serially from the caller, kFirstTouch is a no-op (the
-/// algorithm's own parallel initialisation loop is the first touch).
-/// Must run before the buffer holds meaningful data.
-void place_pages(void* data, std::size_t bytes, Placement placement);
-
-/// Typed convenience over place_pages.
-template <typename T>
-void place_array(T* data, std::size_t count, Placement placement) {
-  place_pages(static_cast<void*>(data), count * sizeof(T), placement);
+[[nodiscard]] inline const char* to_string(Placement) {
+  return "firsttouch";
 }
+[[nodiscard]] inline const char* to_string(StealScope) { return "local"; }
 
 }  // namespace thrifty::support

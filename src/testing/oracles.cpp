@@ -29,17 +29,11 @@ std::string RunSetup::describe() const {
       << (density_threshold ? std::to_string(*density_threshold)
                             : "default")
       << " algo_seed=" << algorithm_seed;
-  if (placement != support::Placement::kFirstTouch) {
-    out << " placement=" << support::to_string(placement);
-  }
   if (simd != support::SimdLevel::kAuto) {
     out << " simd=" << support::to_string(simd);
   }
   if (reorder != reorder::OrderKind::kNone) {
     out << " reorder=" << reorder::to_string(reorder);
-  }
-  if (numa_steal != support::StealScope::kLocal) {
-    out << " numa_steal=" << support::to_string(numa_steal);
   }
   if (plan != "auto") {
     out << " plan=" << plan;
@@ -63,18 +57,8 @@ std::vector<RunSetup> perturbation_matrix() {
       matrix.push_back(setup);
     }
   }
-  // Placement is a pure page-locality knob: sweeping it orthogonally to
-  // the schedule axes would triple the matrix for no extra coverage, so
-  // the non-default policies get one multi-threaded point each.
-  for (const auto placement :
-       {support::Placement::kInterleave, support::Placement::kOs}) {
-    RunSetup setup;
-    setup.threads = 4;
-    setup.placement = placement;
-    matrix.push_back(setup);
-  }
-  // Kernel level is likewise orthogonal: every SIMD variant is
-  // bit-identical to scalar by contract, so two forced-scalar points
+  // Kernel level is orthogonal to the schedule axes: every SIMD variant
+  // is bit-identical to scalar by contract, so two forced-scalar points
   // (serial and parallel) suffice to cross-check the default kAuto runs
   // above against the portable path.
   for (const int threads : {1, 4}) {
@@ -100,14 +84,6 @@ std::vector<RunSetup> perturbation_matrix() {
     setup = RunSetup{};
     setup.threads = 4;
     setup.reorder = reorder::OrderKind::kRandom;
-    matrix.push_back(setup);
-  }
-  // Steal scope is a scheduling-only knob; one global-stealing point
-  // cross-checks it against the default local points above.
-  {
-    RunSetup setup;
-    setup.threads = 4;
-    setup.numa_steal = support::StealScope::kGlobal;
     matrix.push_back(setup);
   }
   // Plan dimension: adversarial fixed plans the adaptive executor's
@@ -256,9 +232,7 @@ core::CcResult run_under(const baselines::AlgorithmEntry& entry,
   // or a repro file replayed under a different environment diverges from
   // the failing run.
   support::RunConfig config = support::run_config();
-  config.placement = setup.placement;
   config.simd = setup.simd;
-  config.numa_steal = setup.numa_steal;
   config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
@@ -438,9 +412,7 @@ std::optional<OracleFailure> check_sharded_solve(
   // solves and the exchange sweeps all run under the perturbed width
   // and kernel level.
   support::RunConfig config = support::run_config();
-  config.placement = setup.placement;
   config.simd = setup.simd;
-  config.numa_steal = setup.numa_steal;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
       setup.threads > 0 ? setup.threads : support::num_threads());
@@ -477,9 +449,7 @@ std::optional<OracleFailure> check_service_ingest(
   // algorithms; the service's internal solves and hook sweeps then run
   // under the perturbed width and kernel level.
   support::RunConfig config = support::run_config();
-  config.placement = setup.placement;
   config.simd = setup.simd;
-  config.numa_steal = setup.numa_steal;
   config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(

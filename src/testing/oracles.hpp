@@ -6,8 +6,9 @@
 //      the same partition (labels compared as partitions, never as raw
 //      values) as the sequential union-find reference;
 //   2. schedule robustness — property 1 must hold at every point of a
-//      perturbation matrix over thread counts, density thresholds and
-//      single points for the other run knobs (RunSetup);
+//      perturbation matrix over thread counts and density thresholds,
+//      plus a few points each for SIMD level, vertex order, execution
+//      plan and shard count (RunSetup);
 //   3. permutation invariance — relabelling vertex ids and mapping the
 //      result back must yield the identical partition;
 //   4. edge-addition monotonicity — adding edges may only merge
@@ -28,7 +29,7 @@
 #include "core/cc_common.hpp"
 #include "graph/csr_graph.hpp"
 #include "reorder/reorder.hpp"
-#include "support/topology.hpp"
+#include "support/simd.hpp"
 #include "testing/scenario.hpp"
 
 namespace thrifty::testing {
@@ -45,9 +46,6 @@ struct RunSetup {
   /// Seed forwarded to randomised algorithms (JT priorities, Afforest
   /// sampling).
   std::uint64_t algorithm_seed = 1;
-  /// Page-placement policy for the label arrays.  Placement must never
-  /// change results, so the matrix sweeps it like any other knob.
-  support::Placement placement = support::Placement::kFirstTouch;
   /// Kernel instruction-set ceiling (support/simd.hpp).  SIMD variants
   /// are bit-identical to scalar by contract, so the matrix sweeps the
   /// level like any other knob; kAuto uses the widest supported level.
@@ -56,11 +54,6 @@ struct RunSetup {
   /// labels are mapped back to original ids afterwards, so reordering
   /// must never change the partition.  kNone runs on the graph as-is.
   reorder::OrderKind reorder = reorder::OrderKind::kNone;
-  /// Work-stealing scope of the partition scheduler.  A pure scheduling
-  /// knob that must never change results.  Snapshotted here (rather
-  /// than inherited from the ambient process config) so a repro file
-  /// pins the *full* effective configuration of the failing run.
-  support::StealScope numa_steal = support::StealScope::kLocal;
   /// Execution-plan spec for the adaptive solver (plan/plan.hpp):
   /// "auto", or an adversarial "fixed:<spec>" the sanitizing executor
   /// must survive.  Only the "adaptive" registry entry reads it.
@@ -74,9 +67,8 @@ struct RunSetup {
   [[nodiscard]] std::string describe() const;
 };
 
-/// The full perturbation matrix: threads × threshold, plus one or a few
-/// points for each other knob (placement, SIMD level, reorder, steal
-/// scope, plan, shard count).
+/// The full perturbation matrix: threads × threshold, plus a few points
+/// for each other knob (SIMD level, reorder, plan, shard count).
 [[nodiscard]] std::vector<RunSetup> perturbation_matrix();
 
 /// One deterministic sample of the matrix, varying with `seed`.

@@ -41,12 +41,8 @@ void write_repro(std::ostream& out, const Repro& repro) {
     out << "density_threshold default\n";
   }
   out << "algorithm_seed " << repro.setup.algorithm_seed << "\n";
-  out << "placement " << support::to_string(repro.setup.placement)
-      << "\n";
   out << "simd " << support::to_string(repro.setup.simd) << "\n";
   out << "reorder " << reorder::to_string(repro.setup.reorder) << "\n";
-  out << "numa_steal " << support::to_string(repro.setup.numa_steal)
-      << "\n";
   out << "plan " << sanitize(repro.setup.plan) << "\n";
   out << "shards " << repro.setup.shards << "\n";
   out << "fault " << to_string(repro.fault) << "\n";
@@ -90,9 +86,11 @@ Repro read_repro(std::istream& in) {
       repro.detail = value;
     } else if (key == "threads") {
       repro.setup.threads = std::stoi(value);
-    } else if (key == "hub_split_degree") {
-      // Legacy key: written before push iterations stopped splitting
-      // hubs.  It no longer affects any run, so it is read and ignored.
+    } else if (key == "hub_split_degree" || key == "placement" ||
+               key == "numa_steal") {
+      // Legacy keys: written while hub splitting, the page-placement
+      // policy and the steal scope were run knobs.  None of them affects
+      // a run any more, so they are read and ignored.
     } else if (key == "density_threshold") {
       if (value == "default") {
         repro.setup.density_threshold.reset();
@@ -101,12 +99,6 @@ Repro read_repro(std::istream& in) {
       }
     } else if (key == "algorithm_seed") {
       repro.setup.algorithm_seed = std::stoull(value);
-    } else if (key == "placement") {
-      // Absent in repro files from before the placement knob existed;
-      // the RunSetup default (firsttouch) covers those.
-      const auto placement = support::parse_placement(value);
-      if (!placement) malformed("unknown placement '" + value + "'");
-      repro.setup.placement = *placement;
     } else if (key == "simd") {
       // Absent in repro files from before the kernel-level knob existed;
       // the RunSetup default (auto) covers those.
@@ -119,12 +111,6 @@ Repro read_repro(std::istream& in) {
       const auto kind = reorder::parse_order_kind(value);
       if (!kind) malformed("unknown reorder '" + value + "'");
       repro.setup.reorder = *kind;
-    } else if (key == "numa_steal") {
-      // Absent in repro files from before the steal-scope snapshot; the
-      // RunSetup default (local) covers those.
-      const auto scope = support::parse_steal_scope(value);
-      if (!scope) malformed("unknown numa_steal '" + value + "'");
-      repro.setup.numa_steal = *scope;
     } else if (key == "plan") {
       // Absent in repro files from before the plan dimension existed;
       // the RunSetup default ("auto") covers those.  Kept as raw text —
@@ -147,10 +133,10 @@ Repro read_repro(std::istream& in) {
       break;  // edge section follows
     } else {
       // Forward compatibility: a newer writer may emit keys this reader
-      // does not know (the placement/simd/reorder knobs were all added
-      // after v1).  Skip with a warning rather than hard-failing, so old
-      // binaries can still replay new repro files; the known keys above
-      // fully determine the run.
+      // does not know (the simd/reorder/plan/shards knobs were all
+      // added after v1).  Skip with a warning rather than hard-failing,
+      // so old binaries can still replay new repro files; the known keys
+      // above fully determine the run.
       std::fprintf(stderr,
                    "repro file: skipping unknown key '%s' "
                    "(written by a newer version?)\n",

@@ -63,22 +63,15 @@ TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
   // The hub-split axis is gone (push iterations no longer split hubs);
   // the test keeps its name so its history stays traceable.
   const std::vector<RunSetup> matrix = perturbation_matrix();
-  // 3 threads x 3 thresholds + 2 placement points
-  // + 2 forced-scalar kernel points + 3 vertex-reorder points
-  // + 1 global-steal point + 3 adversarial-plan points
+  // 3 threads x 3 thresholds + 2 forced-scalar kernel points
+  // + 3 vertex-reorder points + 3 adversarial-plan points
   // + 2 async-plan points + 3 shard-count points.
-  EXPECT_EQ(matrix.size(), 25u);
+  EXPECT_EQ(matrix.size(), 22u);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) {
                             return s.density_threshold.has_value();
                           }),
             6);
-  EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
-                          [](const RunSetup& s) {
-                            return s.placement !=
-                                   support::Placement::kFirstTouch;
-                          }),
-            2);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) {
                             return s.simd == support::SimdLevel::kScalar;
@@ -89,12 +82,6 @@ TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
                             return s.reorder != reorder::OrderKind::kNone;
                           }),
             3);
-  EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
-                          [](const RunSetup& s) {
-                            return s.numa_steal !=
-                                   support::StealScope::kLocal;
-                          }),
-            1);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) { return s.plan != "auto"; }),
             5);
@@ -354,8 +341,10 @@ TEST(Repro, UnknownKeysAreSkippedNotFatal) {
 
 TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
   // Files written while push iterations still split hubs carry a
-  // hub_split_degree line.  It is read and ignored, and the run it
-  // describes replays without a discrepancy.
+  // hub_split_degree line, and files written while placement and steal
+  // scope were run knobs carry placement and numa_steal lines.  All
+  // three are read and ignored, and the run the file describes replays
+  // without a discrepancy.
   std::istringstream in(
       "# cc_crosscheck repro v1\n"
       "spec hub_star:1\n"
@@ -364,6 +353,8 @@ TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
       "threads 2\n"
       "hub_split_degree 4\n"
       "density_threshold default\n"
+      "placement os\n"
+      "numa_steal global\n"
       "fault none\n"
       "vertices 5\n"
       "edges 4\n"
@@ -378,6 +369,8 @@ TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
   std::ostringstream out;
   write_repro(out, repro);
   EXPECT_EQ(out.str().find("hub_split"), std::string::npos);
+  EXPECT_EQ(out.str().find("placement"), std::string::npos);
+  EXPECT_EQ(out.str().find("numa_steal"), std::string::npos);
 }
 
 TEST(Repro, RoundTripsForwardAndBackward) {
@@ -416,7 +409,6 @@ TEST(Repro, RoundTripsForwardAndBackward) {
       "edges 1\n"
       "0 1\n");
   const Repro legacy = read_repro(backward);
-  EXPECT_EQ(legacy.setup.placement, support::Placement::kFirstTouch);
   EXPECT_EQ(legacy.setup.simd, support::SimdLevel::kAuto);
   EXPECT_EQ(legacy.setup.reorder, reorder::OrderKind::kNone);
   EXPECT_EQ(legacy.fault, FaultKind::kNone);
@@ -434,7 +426,6 @@ TEST(Repro, PlanAndStealScopeRoundTripWithLegacyDefaults) {
   Repro repro;
   repro.algorithm = "adaptive";
   repro.setup.plan = "fixed:pullf,push,finish";
-  repro.setup.numa_steal = support::StealScope::kGlobal;
   repro.num_vertices = 2;
   repro.edges = {{0, 1}};
   std::ostringstream out;
@@ -442,22 +433,23 @@ TEST(Repro, PlanAndStealScopeRoundTripWithLegacyDefaults) {
   std::istringstream in(out.str());
   const Repro parsed = read_repro(in);
   EXPECT_EQ(parsed.setup.plan, repro.setup.plan);
-  EXPECT_EQ(parsed.setup.numa_steal, support::StealScope::kGlobal);
 
-  // Files from before the plan/steal-scope keys existed parse with the
-  // RunSetup defaults.
+  // Files from before the plan key existed parse with the RunSetup
+  // default.
   std::istringstream legacy(
       "# cc_crosscheck repro v1\nalgorithm thrifty\n"
       "vertices 2\nedges 0\n");
   const Repro old = read_repro(legacy);
   EXPECT_EQ(old.setup.plan, "auto");
-  EXPECT_EQ(old.setup.numa_steal, support::StealScope::kLocal);
 
-  // A bad value on the known steal-scope key is a hard error.
-  std::istringstream bad(
+  // The steal scope is no longer a run knob: its legacy key is read and
+  // ignored whatever its value, so a file carrying one still parses.
+  std::istringstream steal(
       "# cc_crosscheck repro v1\nnuma_steal everywhere\n"
       "vertices 2\nedges 0\n");
-  EXPECT_THROW((void)read_repro(bad), std::runtime_error);
+  const Repro ignored = read_repro(steal);
+  EXPECT_EQ(ignored.num_vertices, 2u);
+  EXPECT_TRUE(ignored.edges.empty());
 }
 
 // Regression: run_under used to inherit the scheduler/plan knobs from
@@ -484,7 +476,6 @@ TEST(RunSetup, SnapshotsFullConfigIgnoringAmbientMutation) {
   // replayed run, because the setup snapshots every knob.
   support::RunConfig hostile = support::run_config();
   hostile.plan = "fixed:bogus";
-  hostile.numa_steal = support::StealScope::kGlobal;
   const support::RunConfigOverride scope(hostile);
   const RunSetup defaults;
   const core::CcResult result = run_under(*adaptive, graph, defaults);

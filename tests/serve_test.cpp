@@ -1,12 +1,17 @@
 // Tests for the serving layer (src/serve): service semantics against the
 // union-find reference after every ingest batch and recompaction,
 // epoch-swap snapshot isolation, degenerate graphs, the staleness /
-// recompaction policy, the line protocol, and a concurrent
-// query+ingest stress test (the TSan target for the RCU epoch swap).
+// recompaction policy, the line protocol and its input bounds, and a
+// concurrent query+ingest stress test (the TSan target for the RCU
+// epoch swap).
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -295,6 +300,64 @@ TEST(Protocol, SessionDrivesCommandsAndCountsErrors) {
             "OK accepted=1 rejected=0 merges=1 epoch=1 recompacted=0\n"
             "OK 1\n"
             "OK bye\n");
+}
+
+TEST(Protocol, OverlongLinesAnswerErrAndTheSessionGoesOn) {
+  ServeOptions lazy;
+  lazy.staleness_edges = 1000;
+  ConnectivityService service(make_graph({{0, 1}}, 4), lazy);
+  const std::string overlong(kMaxLineBytes + 1, '7');
+  std::istringstream in("count\n" + overlong + "\n" +
+                        "ingest 2\n1 2\n" + overlong + "\n" +
+                        "same 0 2\n");
+  std::ostringstream out;
+  EXPECT_EQ(serve_session(service, in, out), 2u);
+  EXPECT_EQ(out.str(),
+            "OK 3\n"
+            "ERR line too long\n"
+            "ERR line too long\n"
+            "OK 0\n");
+
+  // A line of exactly the cap is still read as one command.
+  std::string padded = "count";
+  padded.resize(kMaxLineBytes, ' ');
+  std::istringstream exact(padded + "\n");
+  std::ostringstream answer;
+  EXPECT_EQ(serve_session(service, exact, answer), 0u);
+  EXPECT_EQ(answer.str(), "OK 3\n");
+}
+
+/// Caps the process's address space at its current size plus
+/// `headroom` bytes, so any larger allocation fails.  False if the
+/// current size is unreadable or the cap cannot be set.
+bool cap_address_space(std::uint64_t headroom) {
+  std::ifstream status("/proc/self/status");
+  std::uint64_t vm_kib = 0;
+  for (std::string key; status >> key;) {
+    if (key == "VmSize:") {
+      status >> vm_kib;
+      break;
+    }
+  }
+  const rlim_t cap = vm_kib * 1024 + headroom;
+  const rlimit limit{cap, cap};
+  return vm_kib > 0 && setrlimit(RLIMIT_AS, &limit) == 0;
+}
+
+// Regression: `ingest N` used to reserve N edges (2 GiB for the largest
+// N) before one edge line arrived, so a client announcing a huge batch
+// and hanging up threw bad_alloc out of the session.
+TEST(ProtocolDeathTest, HugeIngestCountThenEofAnswersErr) {
+  EXPECT_EXIT(
+      {
+        ConnectivityService service(make_graph({{0, 1}}, 4));
+        if (!cap_address_space(std::uint64_t{256} << 20)) std::exit(2);
+        std::istringstream in("ingest 268435456\n");
+        std::ostringstream out;
+        const std::uint64_t errors = serve_session(service, in, out);
+        std::exit(errors == 1 && out.str().rfind("ERR ", 0) == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // --- Concurrency: the TSan target. ---

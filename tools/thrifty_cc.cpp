@@ -1,8 +1,7 @@
 // thrifty_cc — command-line connected components.
 //
 //   thrifty_cc <graph> [--algo=thrifty] [--threshold=0.01] [--trials=1]
-//              [--out=labels.txt] [--verify] [--stats] [--list]
-//              [--mmap] [--placement=firsttouch|interleave|os]
+//              [--out=labels.txt] [--verify] [--stats] [--list] [--mmap]
 //              [--reorder=none|degree|degree-asc|hub-cluster|window|
 //                         bfs|random] [--seed=S]
 //              [--plan=auto|fixed:<spec>|replay:<file>]
@@ -13,8 +12,7 @@
 // Market) or a generator spec (gen:rmat:scale=16,ef=16 — see
 // tools/tool_common.hpp).  --out writes one "vertex label" line per
 // vertex.  --list prints the available algorithms and exits.  --mmap
-// loads .bin snapshots as zero-copy mapped views; --placement selects
-// the page-placement policy for the label arrays.  --reorder solves on
+// loads .bin snapshots as zero-copy mapped views.  --reorder solves on
 // a relabelled copy of the graph (the locality-optimized path) and maps
 // the labels back to original ids, reporting the reorder cost
 // separately from solve time so amortization stays honest; --seed only
@@ -217,7 +215,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: thrifty_cc <graph|gen:spec> [--algo=thrifty] "
                  "[--threshold=T] [--trials=N] [--out=FILE] [--verify] "
-                 "[--stats] [--list] [--mmap] [--placement=P] "
+                 "[--stats] [--list] [--mmap] "
                  "[--reorder=ORDER] [--seed=S] "
                  "[--plan=auto|fixed:<spec>|replay:<file>] "
                  "[--plan-trace=FILE] [--shards=K] "
@@ -226,7 +224,7 @@ int run(int argc, char** argv) {
   }
   const auto unknown = args.unknown_flags(
       {"algo", "threshold", "trials", "out", "verify", "stats", "list",
-       "help", "mmap", "placement", "reorder", "seed", "plan",
+       "help", "mmap", "reorder", "seed", "plan",
        "plan-trace", "shards", "memory-budget"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.front().c_str());
@@ -234,17 +232,6 @@ int run(int argc, char** argv) {
   }
 
   support::RunConfig config = support::run_config();
-  if (const auto text = args.flag("placement")) {
-    const auto placement = support::parse_placement(*text);
-    if (!placement) {
-      std::fprintf(stderr,
-                   "unknown placement '%s' "
-                   "(expected firsttouch | interleave | os)\n",
-                   text->c_str());
-      return 2;
-    }
-    config.placement = *placement;
-  }
   // --plan drives the adaptive planner end to end: validate the spec up
   // front, install it into the config (the registry entry reads it from
   // there), and default the algorithm to "adaptive".
