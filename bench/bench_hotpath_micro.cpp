@@ -246,9 +246,11 @@ int run(int argc, char** argv) {
                                                   optimized_ms)});
   }
 
-  // --- Snapshot load: stream loader (read + copy + validate) vs the
-  // zero-copy mmap loader (map + validate).  Same file, same
-  // validation; the delta is the payload copy.
+  // --- Snapshot load: read_csr_file (parallel pread chunks, each
+  // checked in cache) vs the zero-copy mmap loader (map + the same
+  // payload check).  Same file, same check.  The delta is the page
+  // faults and copy of the pread path, not a difference in validation;
+  // at this bench's size the pread loader reads on one thread.
   {
     const CsrGraph g = graph::build_csr(edges, id_space).graph;
     const std::filesystem::path snapshot =

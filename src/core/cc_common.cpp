@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 
 #include "support/assert.hpp"
@@ -38,15 +39,13 @@ std::uint64_t count_equal_labels(std::span<const Label> a,
   return total;
 }
 
-std::uint64_t count_components(std::span<const Label> labels) {
-  std::vector<Label> sorted(labels.begin(), labels.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted.size();
-}
+namespace {
 
-std::vector<Label> canonical_labels(std::span<const Label> labels) {
-  // Map each label to the smallest vertex id carrying it, then relabel.
+constexpr Label kNoVertex = std::numeric_limits<Label>::max();
+
+/// canonical_labels for labellings with a label above n, where a dense
+/// table indexed by label could be far larger than the input.
+std::vector<Label> canonical_labels_sparse(std::span<const Label> labels) {
   std::unordered_map<Label, Label> representative;
   representative.reserve(labels.size() / 16 + 8);
   for (std::size_t v = 0; v < labels.size(); ++v) {
@@ -63,43 +62,86 @@ std::vector<Label> canonical_labels(std::span<const Label> labels) {
   return canonical;
 }
 
+/// Class sizes of a canonical labelling, indexed by representative (0
+/// at every other vertex).
+std::vector<std::uint64_t> class_sizes(std::span<const Label> canonical) {
+  std::vector<std::uint64_t> sizes(canonical.size(), 0);
+  for (const Label c : canonical) ++sizes[c];
+  return sizes;
+}
+
+}  // namespace
+
+std::uint64_t count_components(std::span<const Label> labels) {
+  const std::vector<Label> canonical = canonical_labels(labels);
+  std::uint64_t count = 0;
+  for (std::size_t v = 0; v < canonical.size(); ++v) {
+    count += canonical[v] == v ? 1 : 0;
+  }
+  return count;
+}
+
+std::vector<Label> canonical_labels(std::span<const Label> labels) {
+  const std::size_t n = labels.size();
+  const int threads = support::threads_for(n);
+  Label max_label = 0;
+#pragma omp parallel for num_threads(threads) schedule(static) \
+    reduction(max : max_label)
+  for (std::size_t v = 0; v < n; ++v) {
+    max_label = std::max(max_label, labels[v]);
+  }
+  if (max_label > n) return canonical_labels_sparse(labels);
+
+  // Every engine's labels are at most n (Thrifty's are 0 or min id + 1),
+  // so a dense table indexed by label holds each class's smallest vertex.
+  LabelArray first(static_cast<std::size_t>(max_label) + 1);
+  std::vector<Label> canonical(n);
+#pragma omp parallel num_threads(threads)
+  {
+#pragma omp for schedule(static)
+    for (std::size_t l = 0; l < first.size(); ++l) first[l] = kNoVertex;
+#pragma omp for schedule(static)
+    for (std::size_t v = 0; v < n; ++v) {
+      atomic_min(first[labels[v]], static_cast<Label>(v));
+    }
+#pragma omp for schedule(static)
+    for (std::size_t v = 0; v < n; ++v) canonical[v] = first[labels[v]];
+  }
+  return canonical;
+}
+
 bool same_partition(std::span<const Label> a, std::span<const Label> b) {
   if (a.size() != b.size()) return false;
   return canonical_labels(a) == canonical_labels(b);
 }
 
 std::vector<Label> compact_labels(std::span<const Label> labels) {
-  std::unordered_map<Label, Label> dense;
-  dense.reserve(labels.size() / 16 + 8);
-  std::vector<Label> compact(labels.size());
+  // Representatives are first appearances, so numbering them in vertex
+  // order numbers the classes in order of first appearance.
+  const std::vector<Label> canonical = canonical_labels(labels);
+  std::vector<Label> compact(canonical.size());
   Label next = 0;
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    const auto [it, inserted] = dense.try_emplace(labels[v], next);
-    if (inserted) ++next;
-    compact[v] = it->second;
+  for (std::size_t v = 0; v < canonical.size(); ++v) {
+    compact[v] = canonical[v] == v ? next++ : compact[canonical[v]];
   }
   return compact;
 }
 
 std::vector<std::uint64_t> component_sizes(std::span<const Label> labels) {
-  std::unordered_map<Label, std::uint64_t> counts;
-  counts.reserve(labels.size() / 16 + 8);
-  for (const Label l : labels) ++counts[l];
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(counts.size());
-  for (const auto& [label, size] : counts) sizes.push_back(size);
+  std::vector<std::uint64_t> sizes = class_sizes(canonical_labels(labels));
+  std::erase(sizes, 0);
   std::sort(sizes.begin(), sizes.end(), std::greater<>());
   return sizes;
 }
 
 std::vector<LargestComponent> component_census(
     std::span<const Label> labels) {
-  std::unordered_map<Label, std::uint64_t> counts;
-  counts.reserve(labels.size() / 16 + 8);
-  for (const Label l : labels) ++counts[l];
+  const std::vector<std::uint64_t> sizes =
+      class_sizes(canonical_labels(labels));
   std::vector<LargestComponent> census;
-  census.reserve(counts.size());
-  for (const auto& [label, size] : counts) census.push_back({label, size});
+  for (std::size_t v = 0; v < sizes.size(); ++v) {
+    if (sizes[v] != 0) census.push_back({labels[v], sizes[v]});
+  }
   std::sort(census.begin(), census.end(),
             [](const LargestComponent& a, const LargestComponent& b) {
               return a.size != b.size ? a.size > b.size : a.label < b.label;
@@ -108,14 +150,14 @@ std::vector<LargestComponent> component_census(
 }
 
 LargestComponent largest_component(std::span<const Label> labels) {
-  std::unordered_map<Label, std::uint64_t> sizes;
-  sizes.reserve(labels.size() / 16 + 8);
-  for (Label l : labels) ++sizes[l];
+  const std::vector<std::uint64_t> sizes =
+      class_sizes(canonical_labels(labels));
   LargestComponent best;
-  for (const auto& [label, size] : sizes) {
-    if (size > best.size || (size == best.size && label < best.label)) {
-      best.label = label;
-      best.size = size;
+  for (std::size_t v = 0; v < sizes.size(); ++v) {
+    const std::uint64_t size = sizes[v];
+    if (size > best.size ||
+        (size == best.size && labels[v] < best.label)) {
+      best = {labels[v], size};
     }
   }
   return best;

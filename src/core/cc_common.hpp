@@ -105,7 +105,9 @@ void copy_labels(std::span<const graph::Label> src,
 
 /// Canonicalises a labelling: every vertex receives the smallest vertex
 /// id in its label class.  Two labellings describe the same partition iff
-/// their canonical forms are equal.
+/// their canonical forms are equal.  O(n) and parallel through a dense
+/// table indexed by label when no label exceeds n (every engine's
+/// labels); a hash map otherwise.  The helpers below all start from it.
 [[nodiscard]] std::vector<graph::Label> canonical_labels(
     std::span<const graph::Label> labels);
 

@@ -8,18 +8,22 @@
 //   offsets (n+1) * 8 bytes
 //   neighbors m * 4 bytes
 //
-// The reader is strict: the declared n/m are cross-checked against the
-// actual stream size *before* any allocation (a hostile header cannot
-// trigger a multi-gigabyte allocation or an integer-overflowed one), the
-// payload must match the header exactly (no trailing bytes), and the
-// loaded arrays must satisfy the CSR invariants (offsets[0] == 0,
-// monotone, offsets[n] == m, neighbour ids < n) — see
-// graph/validate.hpp.  Violations surface as typed IoErrors carrying the
-// byte offset of the offending datum.
+// The readers are strict: the declared n/m are cross-checked against the
+// actual file or stream size *before* any allocation (a hostile header
+// cannot trigger a multi-gigabyte allocation or an integer-overflowed
+// one; a stream of unknown size grows its arrays in bounded steps as
+// bytes arrive), the payload must match the header exactly (no trailing
+// bytes), and the loaded arrays must satisfy the CSR invariants
+// (offsets[0] == 0, monotone, offsets[n] == m, neighbour ids < n).
+// Violations surface as typed IoErrors carrying the byte offset of the
+// offending datum.
 //
-// The same header/size/invariant validation backs both the stream loader
-// here and the zero-copy mmap loader (io/mmap_io.hpp), so the two reject
-// identical malformed inputs with identical IoError kinds.
+// read_csr_file reads a regular file with parallel pread calls, one
+// fixed-size chunk at a time, and checks each chunk while it is still in
+// cache.  The same header parse and payload check back it, the stream
+// loader and the zero-copy mmap loader (io/mmap_io.hpp), so all three
+// reject identical malformed inputs with identical IoError kinds and
+// byte offsets.
 #pragma once
 
 #include <array>
@@ -65,37 +69,57 @@ static_assert(sizeof(graph::EdgeOffset) % alignof(graph::VertexId) == 0,
               "neighbour payload (header + (n+1)*8) must stay 4-byte "
               "aligned for every n");
 
+/// Bytes per pread chunk of read_csr_file.  Each chunk is checked as soon
+/// as it arrives, while it is still in cache.
+inline constexpr std::uint64_t kSnapshotReadChunkBytes = std::uint64_t{1}
+                                                         << 20;
+
 /// Serialises a CSR graph to a stream.  Throws IoError(kWriteFailed).
 void write_csr(std::ostream& out, const graph::CsrGraph& graph);
 
 /// Serialises a CSR graph to a file.  Throws IoError on I/O failure.
 void write_csr_file(const std::string& path, const graph::CsrGraph& graph);
 
-/// Loads a CSR graph from a seekable stream.  `context` names the source
-/// in error messages (the file path when called via read_csr_file).
+/// Loads a CSR graph from a stream.  `context` names the source in error
+/// messages (the file path when called via read_csr_file).  A stream
+/// that cannot seek (a pipe) is read in bounded steps, so a header that
+/// overstates the payload ends in kTruncated, not in a huge allocation.
 /// Throws IoError with the precise kind: kBadMagic, kTruncated,
 /// kTrailingGarbage, kHeaderBounds, or kInvariantViolation.
 [[nodiscard]] graph::CsrGraph read_csr(std::istream& in,
                                        const std::string& context =
                                            "<stream>");
 
-/// Loads a CSR graph from a file.  Throws IoError (see read_csr), plus
+/// Loads a CSR graph from a file: parallel pread chunks for a regular
+/// file (on the calling thread below a fixed payload size), read_csr for
+/// anything else (a FIFO).  Throws IoError (see read_csr), plus
 /// kOpenFailed when the file cannot be opened.
 [[nodiscard]] graph::CsrGraph read_csr_file(const std::string& path);
 
-/// Header sanity shared by the stream and mmap loaders: bounds the vertex
-/// count to 32-bit ids, rejects 64-bit size overflow, and cross-checks
-/// the declared payload against `total_bytes` (when known) before any
-/// allocation or page touch.  Returns the expected total byte count.
-/// Throws IoError(kHeaderBounds | kTruncated | kTrailingGarbage).
-[[nodiscard]] std::uint64_t validate_snapshot_header(
-    std::uint64_t n, std::uint64_t m,
-    std::optional<std::uint64_t> total_bytes, const std::string& context);
+/// Vertex and directed edge counts a snapshot header declares.
+struct SnapshotShape {
+  std::uint64_t n = 0;
+  std::uint64_t m = 0;
+};
 
-/// Payload invariants shared by the stream and mmap loaders: runs the
-/// CSR invariant checker (symmetry exempt — snapshots of directed data
-/// are representable) and converts the first violation into an
-/// IoError(kInvariantViolation) carrying its byte offset in the snapshot.
+/// Header parse shared by the three loaders.  `prefix` holds the
+/// snapshot's first bytes: all 24 header bytes, or fewer only when the
+/// snapshot is that short.  Checks the magic, bounds the vertex count to
+/// 32-bit ids, rejects 64-bit size overflow, and cross-checks the
+/// declared payload against `total_bytes` (when known) before any
+/// allocation or page touch.  Throws IoError(kTruncated at the first
+/// missing byte | kBadMagic | kHeaderBounds | kTrailingGarbage).
+[[nodiscard]] SnapshotShape parse_snapshot_header(
+    std::span<const char> prefix, std::optional<std::uint64_t> total_bytes,
+    const std::string& context);
+
+/// Payload check shared by the three loaders, symmetry exempt (snapshots
+/// of directed data are representable).  Checks the four conditions
+/// validate_csr's ok() reduces to without symmetry: offsets[0] == 0,
+/// offsets[n] == m, monotone offsets, and largest neighbour id < n.  Only
+/// when one fails does it run validate_csr, to name the first violation;
+/// throws IoError(kInvariantViolation) carrying its byte offset in the
+/// snapshot.
 void validate_snapshot_payload(std::span<const graph::EdgeOffset> offsets,
                                std::span<const graph::VertexId> neighbors,
                                const std::string& context);

@@ -1,7 +1,6 @@
 #include "io/mmap_io.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -121,27 +120,12 @@ MappedCsr read_csr_mmap_region(const std::string& path,
   const std::uint64_t total = file->size();
   const char* base = file->data();
 
-  // Header checks mirror read_csr exactly — same kinds, same byte
-  // offsets — so both loaders reject identical inputs identically.
-  // A short file surfaces as kTruncated at the first unreadable byte.
-  if (total < CsrSnapshotLayout::kMagicBytes) {
-    throw IoError(IoErrorKind::kTruncated, "unexpected end of snapshot",
-                  path, 0, total);
-  }
-  if (std::memcmp(base, CsrSnapshotLayout::kMagic.data(),
-                  CsrSnapshotLayout::kMagicBytes) != 0) {
-    throw IoError(IoErrorKind::kBadMagic, "not a THRFTYG1 snapshot", path,
-                  0, 0);
-  }
-  if (total < CsrSnapshotLayout::kHeaderBytes) {
-    throw IoError(IoErrorKind::kTruncated, "unexpected end of snapshot",
-                  path, 0, total);
-  }
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  std::memcpy(&n, base + 8, sizeof n);
-  std::memcpy(&m, base + 16, sizeof m);
-  (void)validate_snapshot_header(n, m, total, path);
+  // The header parse and payload check are the other loaders' own, so
+  // all three reject identical inputs with the same kinds and offsets.
+  const SnapshotShape shape = parse_snapshot_header(
+      {base, static_cast<std::size_t>(
+                 std::min(total, CsrSnapshotLayout::kHeaderBytes))},
+      total, path);
 
   // The header is 8-byte aligned (static_assert in binary_io.hpp) and
   // the mapping is page-aligned, so the payload pointers are correctly
@@ -150,11 +134,11 @@ MappedCsr read_csr_mmap_region(const std::string& path,
       static_cast<const void*>(base + CsrSnapshotLayout::offsets_begin()));
   const auto* neighbors_ptr = static_cast<const graph::VertexId*>(
       static_cast<const void*>(base +
-                               CsrSnapshotLayout::neighbors_begin(n)));
+                               CsrSnapshotLayout::neighbors_begin(shape.n)));
   const std::span<const graph::EdgeOffset> offsets{
-      offsets_ptr, static_cast<std::size_t>(n) + 1};
+      offsets_ptr, static_cast<std::size_t>(shape.n) + 1};
   const std::span<const graph::VertexId> neighbors{
-      neighbors_ptr, static_cast<std::size_t>(m)};
+      neighbors_ptr, static_cast<std::size_t>(shape.m)};
 
   validate_snapshot_payload(offsets, neighbors, path);
   MappedCsr mapped;

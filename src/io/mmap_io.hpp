@@ -9,10 +9,11 @@
 //
 // Safety contract: the file size is fstat'd and cross-checked against
 // the header-declared payload *before* any payload page is touched, via
-// exactly the validation the stream loader uses
-// (io::validate_snapshot_header / validate_snapshot_payload).  A
+// exactly the validation the other loaders use
+// (io::parse_snapshot_header / validate_snapshot_payload).  A
 // malformed or truncated file is rejected with the same typed IoError
-// kinds as io::read_csr — never a SIGBUS from walking past the mapping.
+// kinds and byte offsets as io::read_csr_file and io::read_csr — never
+// a SIGBUS from walking past the mapping.
 //
 // On platforms without mmap (or when `mmap_supported()` is false) the
 // loaders here fall back to the stream path transparently.

@@ -16,6 +16,16 @@ namespace thrifty::support {
 /// Number of threads an upcoming parallel region will use.
 [[nodiscard]] inline int num_threads() { return omp_get_max_threads(); }
 
+/// Loops over fewer elements than this run on the calling thread: waking
+/// the team costs more than the work, and small inputs (unit tests,
+/// crosscheck scenarios) then never open a parallel region.
+inline constexpr std::size_t kSerialCutoff = std::size_t{1} << 14;
+
+/// Team size for a loop over `n` elements: 1 below kSerialCutoff.
+[[nodiscard]] inline int threads_for(std::size_t n) {
+  return n < kSerialCutoff ? 1 : num_threads();
+}
+
 /// Calling thread's id inside a parallel region (0 outside one).
 [[nodiscard]] inline int thread_id() { return omp_get_thread_num(); }
 

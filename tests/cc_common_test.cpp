@@ -2,6 +2,13 @@
 // and the verifier (including failure injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <random>
+#include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cc_common.hpp"
@@ -10,6 +17,7 @@
 #include "gen/combine.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
+#include "support/parallel.hpp"
 
 namespace thrifty::core {
 namespace {
@@ -70,6 +78,130 @@ TEST(LargestComponentHelper, FindsBiggestClass) {
   const LargestComponent giant = largest_component(labels);
   EXPECT_EQ(giant.label, 1u);
   EXPECT_EQ(giant.size, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// The dense label helpers against map-based oracles: the semantics the
+// helpers had before they moved onto the dense representative pass.
+
+namespace oracle {
+
+std::vector<Label> canonical(std::span<const Label> labels) {
+  std::unordered_map<Label, Label> first;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    first.try_emplace(labels[v], static_cast<Label>(v));
+  }
+  std::vector<Label> out(labels.size());
+  for (std::size_t v = 0; v < labels.size(); ++v) out[v] = first[labels[v]];
+  return out;
+}
+
+std::vector<Label> compact(std::span<const Label> labels) {
+  std::unordered_map<Label, Label> dense;
+  std::vector<Label> out(labels.size());
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    out[v] = dense.try_emplace(labels[v], static_cast<Label>(dense.size()))
+                 .first->second;
+  }
+  return out;
+}
+
+std::map<Label, std::uint64_t> counts(std::span<const Label> labels) {
+  std::map<Label, std::uint64_t> sizes;
+  for (const Label l : labels) ++sizes[l];
+  return sizes;
+}
+
+std::vector<std::uint64_t> sizes(std::span<const Label> labels) {
+  std::vector<std::uint64_t> out;
+  for (const auto& [label, size] : counts(labels)) out.push_back(size);
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return out;
+}
+
+std::vector<LargestComponent> census(std::span<const Label> labels) {
+  std::vector<LargestComponent> out;
+  for (const auto& [label, size] : counts(labels)) out.push_back({label, size});
+  std::stable_sort(out.begin(), out.end(),
+                   [](const LargestComponent& a, const LargestComponent& b) {
+                     return a.size > b.size;  // map order: label ascending
+                   });
+  return out;
+}
+
+}  // namespace oracle
+
+/// Random labellings of every shape the helpers must handle.
+std::vector<std::vector<Label>> label_cases() {
+  std::vector<std::vector<Label>> cases;
+  cases.push_back({});
+  cases.push_back({7});
+  std::mt19937 rng(11);
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{60000}}) {
+    const auto random = [&](Label range, Label base) {
+      std::vector<Label> labels(n);
+      for (Label& l : labels) {
+        l = base + static_cast<Label>(rng() % range);
+      }
+      return labels;
+    };
+    cases.push_back(std::vector<Label>(n, 0));          // one component
+    cases.push_back(std::vector<Label>(n, n));          // one, label n
+    cases.push_back(random(static_cast<Label>(n) + 1, 0));  // labels <= n
+    cases.push_back(random(5, 0));                      // few, with ties
+    cases.push_back(random(3, 0xFFFFFFF0u));            // labels above n
+    std::vector<Label> mixed = random(static_cast<Label>(n / 10), 0);
+    mixed[n / 2] = static_cast<Label>(n) + 1;           // one above n
+    cases.push_back(mixed);
+    std::vector<Label> identity(n);                     // all singletons
+    for (std::size_t v = 0; v < n; ++v) identity[v] = static_cast<Label>(v);
+    cases.push_back(identity);
+  }
+  return cases;
+}
+
+bool same_census(const std::vector<LargestComponent>& a,
+                 const std::vector<LargestComponent>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LargestComponent& x, const LargestComponent& y) {
+                      return x.label == y.label && x.size == y.size;
+                    });
+}
+
+TEST(DenseLabelHelpers, MatchMapOraclesAtEveryThreadCount) {
+  const auto cases = label_cases();
+  for (const int threads : {1, 2, 4}) {
+    const support::ThreadCountGuard guard(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::vector<Label>& labels = cases[i];
+      SCOPED_TRACE("case " + std::to_string(i) + ", n=" +
+                   std::to_string(labels.size()) + ", t=" +
+                   std::to_string(threads));
+      EXPECT_EQ(canonical_labels(labels), oracle::canonical(labels));
+      EXPECT_EQ(compact_labels(labels), oracle::compact(labels));
+      EXPECT_EQ(component_sizes(labels), oracle::sizes(labels));
+      const auto census = oracle::census(labels);
+      EXPECT_TRUE(same_census(component_census(labels), census));
+      EXPECT_EQ(count_components(labels), census.size());
+      const LargestComponent giant = largest_component(labels);
+      const LargestComponent expected =
+          census.empty() ? LargestComponent{} : census.front();
+      EXPECT_EQ(giant.label, expected.label);
+      EXPECT_EQ(giant.size, expected.size);
+    }
+  }
+}
+
+TEST(DenseLabelHelpers, CensusTiesKeepSizeThenLabelOrder) {
+  const std::vector<Label> labels{9, 4, 9, 4, 2, 6, 6, 1};
+  const auto census = component_census(labels);
+  const std::vector<std::pair<Label, std::uint64_t>> expected{
+      {4, 2}, {6, 2}, {9, 2}, {1, 1}, {2, 1}};
+  ASSERT_EQ(census.size(), expected.size());
+  for (std::size_t i = 0; i < census.size(); ++i) {
+    EXPECT_EQ(census[i].label, expected[i].first) << i;
+    EXPECT_EQ(census[i].size, expected[i].second) << i;
+  }
 }
 
 TEST(UnionFindOracle, BasicUnions) {

@@ -2,16 +2,21 @@
 // edge-list, binary CSR and Matrix Market formats.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
@@ -286,6 +291,121 @@ TEST(BinaryErrors, OutOfRangeNeighborIsTypedWithByteOffset) {
   const IoError e = expect_io_error([&] { (void)read_bytes(bytes); });
   EXPECT_EQ(e.kind(), IoErrorKind::kInvariantViolation);
   EXPECT_EQ(e.byte_offset(), neighbors_base + 4);
+}
+
+/// A stream that cannot seek, like a pipe: tellg fails, so the loader
+/// cannot learn the payload size up front.
+class NonSeekableBuf : public std::stringbuf {
+ public:
+  explicit NonSeekableBuf(const std::string& bytes)
+      : std::stringbuf(bytes, std::ios::in | std::ios::binary) {}
+
+ protected:
+  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+};
+
+graph::CsrGraph read_non_seekable(const std::string& bytes) {
+  NonSeekableBuf buffer(bytes);
+  std::istream in(&buffer);
+  return read_csr(in, "<pipe>");
+}
+
+TEST(BinaryErrors, NonSeekableHugeEdgeCountEndsTruncated) {
+  // Regression: with no stream size to check against, the loader used to
+  // allocate the header's m = 2^60 neighbours up front and die with
+  // std::bad_alloc.  It must grow with the bytes that arrive instead.
+  std::string bytes(24, '\0');
+  std::memcpy(bytes.data(), "THRFTYG1", 8);
+  const std::uint64_t n = 10;
+  const std::uint64_t m = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + 8, &n, sizeof n);
+  std::memcpy(bytes.data() + 16, &m, sizeof m);
+  const IoError header_only =
+      expect_io_error([&] { (void)read_non_seekable(bytes); });
+  EXPECT_EQ(header_only.kind(), IoErrorKind::kTruncated);
+  EXPECT_EQ(header_only.byte_offset(), 24u);
+
+  // Valid offsets (all zero), then the neighbour read runs dry.
+  bytes.append((n + 1) * 8, '\0');
+  const IoError no_neighbors =
+      expect_io_error([&] { (void)read_non_seekable(bytes); });
+  EXPECT_EQ(no_neighbors.kind(), IoErrorKind::kTruncated);
+  EXPECT_EQ(no_neighbors.byte_offset(), bytes.size());
+}
+
+TEST(BinaryErrors, NonSeekableStreamLoadsAndRejectsLikeSeekable) {
+  gen::RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 8;
+  const CsrGraph g = graph::build_csr(gen::rmat_edges(params)).graph;
+  std::ostringstream out(std::ios::binary);
+  write_csr(out, g);
+  const std::string bytes = out.str();
+
+  const CsrGraph loaded = read_non_seekable(bytes);
+  EXPECT_TRUE(std::equal(loaded.offsets().begin(), loaded.offsets().end(),
+                         g.offsets().begin(), g.offsets().end()));
+  EXPECT_TRUE(std::equal(loaded.neighbor_array().begin(),
+                         loaded.neighbor_array().end(),
+                         g.neighbor_array().begin(),
+                         g.neighbor_array().end()));
+
+  // Without a size, truncation shows at the first missing byte and
+  // trailing bytes at the end of the declared payload.
+  const IoError truncated = expect_io_error(
+      [&] { (void)read_non_seekable(bytes.substr(0, bytes.size() - 3)); });
+  EXPECT_EQ(truncated.kind(), IoErrorKind::kTruncated);
+  EXPECT_EQ(truncated.byte_offset(), bytes.size() - 3);
+  const IoError garbage =
+      expect_io_error([&] { (void)read_non_seekable(bytes + "x"); });
+  EXPECT_EQ(garbage.kind(), IoErrorKind::kTrailingGarbage);
+  EXPECT_EQ(garbage.byte_offset(), bytes.size());
+}
+
+TEST_F(TempDir, FifoTakesTheStreamPath) {
+  // A FIFO has no size to pread against; read_csr_file must hand it to
+  // the stream loader and load it in full, across many pipe buffers.
+  const CsrGraph g = graph::build_csr(gen::cycle_edges(40000)).graph;
+  std::ostringstream out(std::ios::binary);
+  write_csr(out, g);
+  const std::string bytes = out.str();
+  const std::string fifo = path("graph.bin");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  // The writer never blocks in open: it polls until the reader is there
+  // (or gives up), so a failing reader cannot hang the test.
+  std::thread writer([&] {
+    int fd = -1;
+    for (int attempt = 0; attempt < 5000 && fd < 0; ++attempt) {
+      fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    if (fd < 0) return;
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ::ssize_t wrote =
+          ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (wrote <= 0) break;
+      done += static_cast<std::size_t>(wrote);
+    }
+    ::close(fd);
+  });
+  std::optional<CsrGraph> loaded;
+  EXPECT_NO_THROW(loaded.emplace(read_csr_file(fifo)));
+  writer.join();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(std::equal(loaded->offsets().begin(), loaded->offsets().end(),
+                         g.offsets().begin(), g.offsets().end()));
+  EXPECT_TRUE(std::equal(loaded->neighbor_array().begin(),
+                         loaded->neighbor_array().end(),
+                         g.neighbor_array().begin(),
+                         g.neighbor_array().end()));
 }
 
 TEST(BinaryErrors, MissingFileIsTyped) {

@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cc_baselines/registry.hpp"
 #include "core/cc_common.hpp"
@@ -23,6 +24,7 @@
 #include "io/binary_io.hpp"
 #include "io/io_error.hpp"
 #include "io/mmap_io.hpp"
+#include "support/parallel.hpp"
 
 namespace thrifty::io {
 namespace {
@@ -221,6 +223,150 @@ TEST_F(MmapTempDir, CorruptionsRejectWithMatchingTypedKinds) {
     EXPECT_EQ(streamed.kind, mapped.kind) << c.name;
     ASSERT_TRUE(streamed.kind.has_value()) << c.name;
     EXPECT_EQ(*streamed.kind, c.expected) << c.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Three-loader parity on snapshots that span several read chunks and take
+// read_csr_file's parallel path: read_csr_file (pread), read_csr over a
+// file stream and read_csr_mmap must return identical arrays, or throw
+// the same IoError kind at the same byte offset, at every thread count.
+
+/// Bytes of a ring snapshot (vertex v adjacent to v - 1 and v + 1),
+/// written directly so the test controls every byte.
+std::string ring_snapshot(std::uint64_t n) {
+  const std::uint64_t m = 2 * n;
+  std::string bytes(CsrSnapshotLayout::neighbors_begin(n) + m * 4, '\0');
+  std::memcpy(bytes.data(), CsrSnapshotLayout::kMagic.data(), 8);
+  std::memcpy(bytes.data() + 8, &n, 8);
+  std::memcpy(bytes.data() + 16, &m, 8);
+  for (std::uint64_t v = 0; v <= n; ++v) {
+    const std::uint64_t offset = 2 * v;
+    std::memcpy(bytes.data() + CsrSnapshotLayout::offsets_begin() + v * 8,
+                &offset, 8);
+  }
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const auto pred = static_cast<graph::VertexId>((v + n - 1) % n);
+    const auto succ = static_cast<graph::VertexId>((v + 1) % n);
+    const std::uint64_t at = CsrSnapshotLayout::neighbors_begin(n) + v * 8;
+    std::memcpy(bytes.data() + at, &pred, 4);
+    std::memcpy(bytes.data() + at + 4, &succ, 4);
+  }
+  return bytes;
+}
+
+/// One loader's outcome: the graph, or the error's kind and offset.
+struct Outcome {
+  std::optional<CsrGraph> graph;
+  std::optional<IoErrorKind> kind;
+  std::uint64_t byte_offset = IoError::kNoPosition;
+};
+
+template <typename Load>
+Outcome outcome_of(Load&& load) {
+  Outcome outcome;
+  try {
+    outcome.graph.emplace(load());
+  } catch (const IoError& e) {
+    outcome.kind = e.kind();
+    outcome.byte_offset = e.byte_offset();
+  }
+  return outcome;
+}
+
+/// Loads `file` through all three loaders at `threads` threads, expects
+/// them to agree, and returns the pread loader's outcome.
+Outcome expect_loaders_agree(const std::string& file, int threads,
+                             const std::string& name) {
+  const support::ThreadCountGuard guard(threads);
+  const Outcome pread = outcome_of([&] { return read_csr_file(file); });
+  const Outcome stream = outcome_of([&] {
+    std::ifstream in(file, std::ios::binary);
+    return read_csr(in, file);
+  });
+  const Outcome mapped = outcome_of([&] { return read_csr_mmap(file); });
+  for (const Outcome* other : {&stream, &mapped}) {
+    const char* which = other == &stream ? "stream" : "mmap";
+    EXPECT_EQ(pread.kind, other->kind)
+        << name << ", " << which << ", t=" << threads;
+    EXPECT_EQ(pread.byte_offset, other->byte_offset)
+        << name << ", " << which << ", t=" << threads;
+    EXPECT_EQ(pread.graph.has_value(), other->graph.has_value())
+        << name << ", " << which << ", t=" << threads;
+    if (pread.graph && other->graph) {
+      expect_identical_arrays(*pread.graph, *other->graph);
+    }
+  }
+  return pread;
+}
+
+TEST_F(MmapTempDir, ThreeLoadersAgreeAcrossReadChunks) {
+  // 400k vertices: 3.2 MB of offsets and 3.2 MB of neighbours, several
+  // read chunks of each and above the parallel-read size.
+  const std::uint64_t n = 400000;
+  const std::string valid = ring_snapshot(n);
+  const std::uint64_t ids_per_chunk = kSnapshotReadChunkBytes / 4;
+  const std::uint64_t neighbors_at = CsrSnapshotLayout::neighbors_begin(n);
+  ASSERT_GT(2 * n, 2 * ids_per_chunk);
+
+  const auto with_id = [&](std::uint64_t edge, graph::VertexId id) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + neighbors_at + edge * 4, &id, 4);
+    return bytes;
+  };
+  struct Case {
+    const char* name;
+    std::string bytes;
+    std::optional<IoErrorKind> kind;  ///< nullopt: must load
+    std::uint64_t byte_offset = IoError::kNoPosition;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"valid", valid, std::nullopt});
+  const auto with_offset_bump = [&](std::uint64_t v) {
+    // offsets[v] above offsets[v + 1]: the violation is at vertex v.
+    std::string bytes = valid;
+    const std::uint64_t big = 2 * v + 5;
+    std::memcpy(bytes.data() + CsrSnapshotLayout::offsets_begin() + v * 8,
+                &big, 8);
+    return bytes;
+  };
+  const std::uint64_t offsets_per_chunk = kSnapshotReadChunkBytes / 8;
+  for (const std::uint64_t v :
+       {offsets_per_chunk + 17, offsets_per_chunk - 1}) {
+    cases.push_back({v == offsets_per_chunk - 1
+                         ? "non-monotone offset across a chunk boundary"
+                         : "non-monotone offset inside a later chunk",
+                     with_offset_bump(v), IoErrorKind::kInvariantViolation,
+                     CsrSnapshotLayout::offsets_begin() + v * 8});
+  }
+  cases.push_back({"out-of-range id first in a later chunk",
+                   with_id(ids_per_chunk, static_cast<graph::VertexId>(n)),
+                   IoErrorKind::kInvariantViolation,
+                   neighbors_at + ids_per_chunk * 4});
+  cases.push_back({"out-of-range id last",
+                   with_id(2 * n - 1, 0xFFFFFFFFu),
+                   IoErrorKind::kInvariantViolation,
+                   neighbors_at + (2 * n - 1) * 4});
+  cases.push_back({"truncated neighbour tail",
+                   valid.substr(0, valid.size() - 6),
+                   IoErrorKind::kTruncated, 8});
+  cases.push_back({"trailing garbage", valid + "junk",
+                   IoErrorKind::kTrailingGarbage, valid.size()});
+  cases.push_back({"n = 0, m = 0", ring_snapshot(0), std::nullopt});
+
+  for (const Case& c : cases) {
+    const std::string file = write_bytes("parity.bin", c.bytes);
+    for (const int threads : {1, 2, 4}) {
+      const Outcome got = expect_loaders_agree(file, threads, c.name);
+      EXPECT_EQ(got.kind, c.kind) << c.name << ", t=" << threads;
+      if (c.kind) {
+        EXPECT_EQ(got.byte_offset, c.byte_offset)
+            << c.name << ", t=" << threads;
+      } else if (got.graph) {
+        const std::uint64_t vertices = c.bytes == valid ? n : 0;
+        EXPECT_EQ(got.graph->num_vertices(), vertices) << c.name;
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -235,64 +236,82 @@ void apply_mutation(std::string& bytes, Format format, Mutation mutation,
 /// Typed rejections arrive as IoError exceptions, not as an outcome.
 enum class Outcome { kAcceptedValid, kAcceptedUnbuilt, kContractBreak };
 
-/// Scratch path for mmap differentials, unique per process.
-const std::filesystem::path& mmap_scratch_path() {
+/// Scratch path for the file-loader differentials, unique per process.
+const std::filesystem::path& loader_scratch_path() {
   static const std::filesystem::path path = [] {
     std::ostringstream name;
-    name << "thrifty_fuzz_mmap_" << std::hex
-         << reinterpret_cast<std::uintptr_t>(&mmap_scratch_path)
+    name << "thrifty_fuzz_loaders_" << std::hex
+         << reinterpret_cast<std::uintptr_t>(&loader_scratch_path)
          << ".bin";
     return std::filesystem::temp_directory_path() / name.str();
   }();
   return path;
 }
 
-/// Differential over the zero-copy loader: read_csr_mmap over the same
-/// bytes must agree with the stream loader's verdict — identical arrays
-/// on acceptance, the same typed IoError kind on rejection.  Returns a
-/// failure description, or "" when the loaders agree.
-std::string check_mmap_agrees(const std::string& bytes,
-                              const std::optional<CsrGraph>& stream_graph,
-                              const std::optional<io::IoError>& stream_error) {
-  if (!io::mmap_supported()) return "";
-  const std::filesystem::path& path = mmap_scratch_path();
+/// Compares one file loader's verdict with the stream loader's: identical
+/// arrays on acceptance, the same IoError kind and byte offset on
+/// rejection.  Returns a failure description, or "" when they agree.
+std::string compare_with_stream(
+    const char* name, const std::function<CsrGraph()>& load,
+    const std::optional<CsrGraph>& stream_graph,
+    const std::optional<io::IoError>& stream_error) {
+  const std::string loader(name);
+  try {
+    const CsrGraph loaded = load();
+    if (stream_error) {
+      return loader + " accepted bytes the stream loader rejected with " +
+             io::to_string(stream_error->kind());
+    }
+    if (!std::equal(loaded.offsets().begin(), loaded.offsets().end(),
+                    stream_graph->offsets().begin(),
+                    stream_graph->offsets().end()) ||
+        !std::equal(loaded.neighbor_array().begin(),
+                    loaded.neighbor_array().end(),
+                    stream_graph->neighbor_array().begin(),
+                    stream_graph->neighbor_array().end())) {
+      return loader + " produced different CSR arrays than the stream loader";
+    }
+  } catch (const io::IoError& e) {
+    if (!stream_error) {
+      return loader + " rejected (" + io::to_string(e.kind()) +
+             ") bytes the stream loader accepted";
+    }
+    if (e.kind() != stream_error->kind() ||
+        e.byte_offset() != stream_error->byte_offset()) {
+      return "error mismatch: stream " +
+             std::string(io::to_string(stream_error->kind())) + " at byte " +
+             std::to_string(stream_error->byte_offset()) + ", " + loader +
+             " " + io::to_string(e.kind()) + " at byte " +
+             std::to_string(e.byte_offset());
+    }
+  } catch (const std::exception& e) {
+    return loader + " threw untyped exception: " + e.what();
+  }
+  return "";
+}
+
+/// Differential over the file loaders: read_csr_file (parallel pread) and
+/// read_csr_mmap (zero copy) over the same bytes must each agree with the
+/// stream loader's verdict.  Returns a failure description, or "" when
+/// all three agree.
+std::string check_file_loaders_agree(
+    const std::string& bytes, const std::optional<CsrGraph>& stream_graph,
+    const std::optional<io::IoError>& stream_error) {
+  const std::filesystem::path& path = loader_scratch_path();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
-    if (!out) return "mmap differential: cannot write scratch file";
+    if (!out) return "loader differential: cannot write scratch file";
   }
-  std::string verdict;
-  try {
-    const CsrGraph mapped = io::read_csr_mmap(path.string());
-    if (stream_error) {
-      verdict = std::string("mmap loader accepted bytes the stream "
-                            "loader rejected with ") +
-                io::to_string(stream_error->kind());
-    } else if (!std::equal(mapped.offsets().begin(),
-                           mapped.offsets().end(),
-                           stream_graph->offsets().begin(),
-                           stream_graph->offsets().end()) ||
-               !std::equal(mapped.neighbor_array().begin(),
-                           mapped.neighbor_array().end(),
-                           stream_graph->neighbor_array().begin(),
-                           stream_graph->neighbor_array().end())) {
-      verdict = "mmap loader produced different CSR arrays than the "
-                "stream loader";
-    }
-  } catch (const io::IoError& e) {
-    if (!stream_error) {
-      verdict = std::string("mmap loader rejected (") +
-                io::to_string(e.kind()) +
-                ") bytes the stream loader accepted";
-    } else if (e.kind() != stream_error->kind()) {
-      verdict = std::string("error kind mismatch: stream ") +
-                io::to_string(stream_error->kind()) + ", mmap " +
-                io::to_string(e.kind());
-    }
-  } catch (const std::exception& e) {
-    verdict = std::string("mmap loader threw untyped exception: ") +
-              e.what();
+  const std::string file = path.string();
+  std::string verdict = compare_with_stream(
+      "read_csr_file", [&] { return io::read_csr_file(file); },
+      stream_graph, stream_error);
+  if (verdict.empty() && io::mmap_supported()) {
+    verdict = compare_with_stream(
+        "read_csr_mmap", [&] { return io::read_csr_mmap(file); },
+        stream_graph, stream_error);
   }
   std::error_code ec;
   std::filesystem::remove(path, ec);
@@ -311,11 +330,11 @@ Outcome evaluate(Format format, const std::string& bytes,
       } catch (const io::IoError& e) {
         stream_error.emplace(e);
       }
-      // Zero-copy differential: every buffer the fuzzer produces also
-      // runs through read_csr_mmap, which must match the stream loader
-      // byte for byte.
+      // Loader differential: every buffer the fuzzer produces also runs
+      // through read_csr_file and read_csr_mmap, which must match the
+      // stream loader byte for byte, error kind and offset included.
       if (std::string mismatch =
-              check_mmap_agrees(bytes, stream_graph, stream_error);
+              check_file_loaders_agree(bytes, stream_graph, stream_error);
           !mismatch.empty()) {
         detail = std::move(mismatch);
         return Outcome::kContractBreak;

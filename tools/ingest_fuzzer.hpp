@@ -8,8 +8,11 @@
 // input is either rejected with a typed IoError or parses into data the
 // CSR invariant checker accepts.  Anything else — a crash, an abort from
 // a contract check, an untyped exception, a silently-corrupt graph — is a
-// recorded failure.  It also checks that all three formats round-trip
-// byte-identically on unmutated generator graphs.
+// recorded failure.  Every binary buffer also runs through all three
+// snapshot loaders (stream, parallel pread, mmap), which must agree on
+// the arrays or on the IoError kind and byte offset.  It also checks that
+// all three formats round-trip byte-identically on unmutated generator
+// graphs.
 #pragma once
 
 #include <cstdint>
