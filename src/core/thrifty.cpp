@@ -207,17 +207,25 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
       have_frontier = true;
     } else {
       // --- Pull traversal (Lines 19-34) with Zero Convergence, run over
-      // the edge-balanced partitions with the paper's work-stealing
-      // schedule (§V-A).  Dense pulls use a count-only frontier (§IV-E);
-      // the Pull-Frontier variant additionally materialises the detailed
-      // frontier just before switching to push.
+      // the edge-balanced partitions (§V-A).  Dense pulls use a count-only
+      // frontier (§IV-E); the Pull-Frontier variant additionally
+      // materialises the detailed frontier just before switching to push.
+      // It stops enqueueing once the frontier mass banked so far is no
+      // longer sparse: the next iteration is then a pull that would
+      // discard the lists, so this one is recorded as a plain Pull.
+      //
+      // Only the first full pull steals.  Later pulls run owner-only, so
+      // that label 0 crosses each thread's block as one Gauss–Seidel
+      // front instead of stopping at partitions a thief took first.
       const bool build_frontier = sparse;
-      rec.direction = build_frontier ? Direction::kPullFrontier
-                                     : Direction::kPull;
       std::atomic<std::uint64_t> changes_atomic{0};
       std::atomic<std::uint64_t> changed_edges_atomic{0};
+      std::atomic<bool> frontier_dense{false};
       scheduler.for_each_partition(
           [&](int t, const partition::VertexRange& range) {
+            const bool enqueue =
+                build_frontier &&
+                !frontier_dense.load(std::memory_order_relaxed);
             std::uint64_t local_changes = 0;
             std::uint64_t local_edges = 0;
             for (VertexId v = range.begin; v < range.end; ++v) {
@@ -262,26 +270,40 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
                 store_label(labels[v], new_label);
                 ++local_changes;
                 local_edges += g.degree(v);
-                if (build_frontier) {
-                  if (next.push(t, v, g.degree(v))) {
-                    counters.frontier_push();
-                  }
+                if (enqueue && next.push(t, v, g.degree(v))) {
+                  counters.frontier_push();
                 }
               }
             }
-            changes_atomic.fetch_add(local_changes,
-                                     std::memory_order_relaxed);
-            changed_edges_atomic.fetch_add(local_edges,
-                                           std::memory_order_relaxed);
-          });
+            const std::uint64_t banked_changes =
+                changes_atomic.fetch_add(local_changes,
+                                         std::memory_order_relaxed) +
+                local_changes;
+            const std::uint64_t banked_edges =
+                changed_edges_atomic.fetch_add(local_edges,
+                                               std::memory_order_relaxed) +
+                local_edges;
+            // Both banked totals only grow, so once one partition sees a
+            // dense frontier the next iteration's density is dense too.
+            if (build_frontier &&
+                !frontier::is_sparse(
+                    frontier::frontier_density(banked_changes, banked_edges,
+                                               m),
+                    options.density_threshold)) {
+              frontier_dense.store(true, std::memory_order_relaxed);
+            }
+          },
+          /*steal=*/!full_pull_done);
       changes = changes_atomic.load();
       changed_edges = changed_edges_atomic.load();
+      have_frontier = build_frontier && !frontier_dense.load();
+      rec.direction =
+          have_frontier ? Direction::kPullFrontier : Direction::kPull;
       current.clear();
-      if (build_frontier) {
+      if (have_frontier) {
         current.swap(next);
-        have_frontier = true;
       } else {
-        have_frontier = false;
+        next.clear();  // the partial lists of a dense Pull-Frontier
       }
       full_pull_done = true;
     }

@@ -18,6 +18,7 @@
 
 #include "graph/types.hpp"
 #include "support/assert.hpp"
+#include "support/uninit_vector.hpp"
 
 namespace thrifty::frontier {
 
@@ -32,10 +33,14 @@ class LocalWorklists {
     std::uint64_t edges = 0;
   };
 
+  /// The marks are zeroed by the team's static schedule, so their pages
+  /// are first-touched by the threads that sweep those vertices.
   LocalWorklists(graph::VertexId num_vertices, int num_threads)
       : marks_(num_vertices),
         lists_(static_cast<std::size_t>(num_threads)),
-        mass_(static_cast<std::size_t>(num_threads)) {}
+        mass_(static_cast<std::size_t>(num_threads)) {
+    zero_marks(marks_);
+  }
 
   [[nodiscard]] int num_threads() const {
     return static_cast<int>(lists_.size());
@@ -51,8 +56,8 @@ class LocalWorklists {
   /// the mark suppressed it as a duplicate).
   bool push(int thread, graph::VertexId v) {
     THRIFTY_EXPECTS(v < marks_.size());
-    if (marks_[v].load(std::memory_order_relaxed) != 0) return false;
-    marks_[v].store(1, std::memory_order_relaxed);
+    if (mark(v).load(std::memory_order_relaxed) != 0) return false;
+    mark(v).store(1, std::memory_order_relaxed);
     lists_[static_cast<std::size_t>(thread)].push_back(v);
     auto& mass = mass_[static_cast<std::size_t>(thread)];
     ++mass.vertices;
@@ -64,8 +69,8 @@ class LocalWorklists {
   /// mass() without rescanning the lists.
   bool push(int thread, graph::VertexId v, graph::EdgeOffset degree) {
     THRIFTY_EXPECTS(v < marks_.size());
-    if (marks_[v].load(std::memory_order_relaxed) != 0) return false;
-    marks_[v].store(1, std::memory_order_relaxed);
+    if (mark(v).load(std::memory_order_relaxed) != 0) return false;
+    mark(v).store(1, std::memory_order_relaxed);
     lists_[static_cast<std::size_t>(thread)].push_back(v);
     auto& mass = mass_[static_cast<std::size_t>(thread)];
     ++mass.vertices;
@@ -103,7 +108,7 @@ class LocalWorklists {
   void clear() {
     for (auto& list : lists_) {
       for (graph::VertexId v : list) {
-        marks_[v].store(0, std::memory_order_relaxed);
+        mark(v).store(0, std::memory_order_relaxed);
       }
       list.clear();
     }
@@ -157,17 +162,25 @@ class LocalWorklists {
   /// benign-race semantics.
   [[nodiscard]] bool marked(graph::VertexId v) const {
     THRIFTY_EXPECTS(v < marks_.size());
-    return marks_[v].load(std::memory_order_relaxed) != 0;
+    return std::atomic_ref<const std::uint8_t>(marks_[v]).load(
+               std::memory_order_relaxed) != 0;
   }
 
  private:
+  using Marks = support::UninitVector<std::uint8_t>;
+
   static int support_thread_id();
+  static void zero_marks(Marks& marks);
+
+  std::atomic_ref<std::uint8_t> mark(graph::VertexId v) {
+    return std::atomic_ref<std::uint8_t>(marks_[v]);
+  }
 
   /// Padded per-thread mass slots: pushes bank (vertices, edges) totals
   /// without sharing cache lines between inserting threads.
   struct alignas(64) ThreadMass : Mass {};
 
-  std::vector<std::atomic<std::uint8_t>> marks_;
+  Marks marks_;
   std::vector<std::vector<graph::VertexId>> lists_;
   std::vector<ThreadMass> mass_;
 };

@@ -2,8 +2,8 @@
 // (§V-A): `partitions_per_thread × #threads` edge-balanced partitions;
 // partitions [k·t, k·(t+1)) are initially owned by thread t; a thread
 // processes its own partitions in ascending order (preserving locality
-// between consecutive partitions) and steals from other threads in
-// descending order.
+// between consecutive partitions) and, when stealing is on, then steals
+// from other threads in descending order.
 //
 // Claiming is a per-partition atomic flag: owners scan their block
 // ascending, thieves scan foreign blocks descending, and an atomic
@@ -14,6 +14,12 @@
 // Blocks are contiguous vertex ranges owned by consecutive threads, so
 // the pages a thief takes over were first-touched by a neighbouring
 // thread.
+//
+// Owner-only mode (`steal = false`) runs each block ascending on its
+// owner and nothing else.  Thrifty uses it for every pull after the first
+// full one: there label 0 travels through each block as a Gauss–Seidel
+// front, and a thief that takes the tail of a block before the front
+// reaches it cuts the chain at that partition in every iteration.
 #pragma once
 
 #include <atomic>
@@ -49,25 +55,28 @@ class PartitionScheduler {
   [[nodiscard]] int partitions_per_thread() const { return per_thread_; }
 
   /// Runs `body(thread_id, range)` once per partition, with the stealing
-  /// policy described above.  May be called repeatedly; claims reset on
-  /// each call.
+  /// policy described above, or owner-only when `steal` is false.  May be
+  /// called repeatedly; claims reset on each call.
   template <typename Body>
-  void for_each_partition(Body&& body) {
+  void for_each_partition(Body&& body, bool steal = true) {
     for (auto& flag : claimed_) flag.store(0, std::memory_order_relaxed);
     const int threads = threads_;
     const auto per_thread = static_cast<std::size_t>(per_thread_);
 #pragma omp parallel num_threads(threads)
     {
       const int self = support::thread_id();
-      // Own block, ascending.
-      const std::size_t own_begin =
-          static_cast<std::size_t>(self) * per_thread;
-      for (std::size_t p = own_begin; p < own_begin + per_thread; ++p) {
-        if (try_claim(p)) body(self, ranges_[p]);
+      // Own block, ascending.  A team smaller than requested also takes
+      // the blocks of the threads it did not get.
+      const int team = omp_get_num_threads();
+      for (int block = self; block < threads; block += team) {
+        const std::size_t begin = static_cast<std::size_t>(block) * per_thread;
+        for (std::size_t p = begin; p < begin + per_thread; ++p) {
+          if (try_claim(p)) body(self, ranges_[p]);
+        }
       }
       // Steal: visit victims nearest first, scanning each victim's
       // block in descending order.
-      for (int step = 1; step < threads; ++step) {
+      for (int step = 1; steal && step < threads; ++step) {
         const std::size_t victim_begin =
             static_cast<std::size_t>((self + step) % threads) * per_thread;
         for (std::size_t k = per_thread; k-- > 0;) {

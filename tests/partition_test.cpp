@@ -1,6 +1,7 @@
 // Tests for src/partition: edge-balanced partitioning invariants and the
-// work-stealing scheduler's exactly-once claiming.
+// scheduler's exactly-once claiming, with and without stealing.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <numeric>
@@ -86,18 +87,63 @@ TEST(Scheduler, EveryPartitionClaimedExactlyOnce) {
   const CsrGraph g = skewed_graph();
   PartitionScheduler scheduler(g, 32);
   std::vector<std::atomic<int>> claims(scheduler.partitions().size());
-  std::atomic<std::size_t> index{0};
   scheduler.for_each_partition([&](int, const VertexRange& range) {
-    // Identify the partition by matching its range.
-    for (std::size_t p = 0; p < scheduler.partitions().size(); ++p) {
-      if (scheduler.partitions()[p] == range) {
-        claims[p].fetch_add(1);
-        break;
-      }
-    }
-    index.fetch_add(1);
+    // The body receives the scheduler's own range object.
+    claims[static_cast<std::size_t>(&range - scheduler.partitions().data())]
+        .fetch_add(1);
   });
-  EXPECT_EQ(index.load(), scheduler.partitions().size());
+  for (std::size_t p = 0; p < claims.size(); ++p) {
+    EXPECT_EQ(claims[p].load(), 1) << "partition " << p;
+  }
+}
+
+TEST(Scheduler, OwnerOnlyRunsEachBlockAscendingOnItsOwner) {
+  const CsrGraph g = skewed_graph();
+  for (const int width : {1, 2, 4}) {
+    support::ThreadCountGuard guard(width);
+    PartitionScheduler scheduler(g, 8);
+    const auto k = static_cast<std::size_t>(scheduler.partitions_per_thread());
+    std::vector<std::atomic<int>> claims(scheduler.partitions().size());
+    std::vector<std::vector<std::size_t>> runs(
+        static_cast<std::size_t>(width));
+    scheduler.for_each_partition(
+        [&](int t, const VertexRange& range) {
+          const auto p = static_cast<std::size_t>(
+              &range - scheduler.partitions().data());
+          claims[p].fetch_add(1);
+          runs[static_cast<std::size_t>(t)].push_back(p);  // own slot only
+        },
+        /*steal=*/false);
+    for (std::size_t p = 0; p < claims.size(); ++p) {
+      EXPECT_EQ(claims[p].load(), 1) << "partition " << p << " width "
+                                     << width;
+    }
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+      std::vector<std::size_t> expected(k);
+      std::iota(expected.begin(), expected.end(), k * t);
+      EXPECT_EQ(runs[t], expected) << "thread " << t << " width " << width;
+    }
+  }
+}
+
+TEST(Scheduler, OwnerOnlyCoversBlocksOfThreadsTheTeamLacks) {
+  // Called from inside a parallel region with nesting off, the scheduler's
+  // region gets one thread; that thread must run all four blocks.
+  const CsrGraph g = skewed_graph();
+  support::ThreadCountGuard guard(4);
+  PartitionScheduler scheduler(g, 8);
+  std::atomic<std::size_t> count{0};
+  const int saved_levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(1);
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    scheduler.for_each_partition(
+        [&](int, const VertexRange&) { count.fetch_add(1); },
+        /*steal=*/false);
+  }
+  omp_set_max_active_levels(saved_levels);
+  EXPECT_EQ(count.load(), scheduler.partitions().size());
 }
 
 TEST(Scheduler, EveryVertexVisitedExactlyOnce) {

@@ -14,10 +14,12 @@
 #include "core/verify.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "gen/combine.hpp"
+#include "gen/grid.hpp"
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
 #include "instrument/run_stats.hpp"
+#include "partition/edge_partitioner.hpp"
 #include "support/parallel.hpp"
 
 namespace thrifty::core {
@@ -39,6 +41,16 @@ CcOptions instrumented() {
   CcOptions options;
   options.instrument = true;
   return options;
+}
+
+/// Road-like input: high diameter, no hub (the planted vertex has degree
+/// at most 4), several components.
+CsrGraph road_like_grid() {
+  gen::GridParams params;
+  params.width = 512;
+  params.height = 512;
+  params.removal_fraction = 0.02;
+  return graph::build_csr(gen::grid_edges(params)).graph;
 }
 
 TEST(Thrifty, ZeroPlantingGiantComponentConvergesToZero) {
@@ -351,6 +363,62 @@ TEST(ThriftyStar, DisconnectedHubsStayInTheirComponents) {
     EXPECT_EQ(component_sizes(result.labels),
               (std::vector<std::uint64_t>{512, 512, 64}));
   }
+}
+
+// High-diameter input.  The Initial Push leaves at most 4 active vertices,
+// so the forced first full pull runs as a Pull-Frontier that changes
+// nearly every label.  It must stop enqueueing once the frontier is no
+// longer sparse (§IV-E): the next iteration is a pull either way.
+TEST(ThriftyGrid, DensePullFrontierStopsEnqueueingAtThreshold) {
+  const CsrGraph g = road_like_grid();
+  const CcOptions options = instrumented();
+  std::vector<Label> serial;
+  for (const int threads : {1, 2, 4}) {
+    support::ThreadCountGuard guard(threads);
+    const CcResult result = thrifty_cc(g, options);
+    ASSERT_TRUE(verify_labels(g, result.label_span()).valid)
+        << "threads=" << threads;
+    ASSERT_GE(result.stats.iterations.size(), 2u);
+    EXPECT_EQ(result.stats.iterations[1].direction, Direction::kPull)
+        << "threads=" << threads;
+    // Each thread may finish the partition it was sweeping when the
+    // frontier turned dense.
+    VertexId largest_partition = 0;
+    for (const auto& range : partition::edge_balanced_partitions(
+             g, static_cast<std::size_t>(options.partitions_per_thread) *
+                    static_cast<std::size_t>(threads))) {
+      largest_partition = std::max(largest_partition, range.size());
+    }
+    const double bound =
+        options.density_threshold *
+            static_cast<double>(g.num_directed_edges()) +
+        static_cast<double>(threads) * static_cast<double>(largest_partition);
+    EXPECT_LE(static_cast<double>(result.stats.events.frontier_pushes), bound)
+        << "threads=" << threads;
+    const std::vector<Label> canonical =
+        canonical_labels(result.label_span());
+    if (serial.empty()) {
+      serial = canonical;
+    } else {
+      EXPECT_EQ(canonical, serial) << "threads=" << threads;
+    }
+  }
+}
+
+// Later pulls run owner-only, so label 0 crosses each thread's block in
+// one sweep: 4 threads need at most twice the serial iterations.
+TEST(ThriftyGrid, FourThreadsAtMostDoubleSerialIterations) {
+  const CsrGraph g = road_like_grid();
+  int serial_iterations = 0;
+  {
+    support::ThreadCountGuard guard(1);
+    serial_iterations = thrifty_cc(g).stats.num_iterations;
+  }
+  support::ThreadCountGuard guard(4);
+  const CcResult parallel = thrifty_cc(g);
+  ASSERT_TRUE(verify_labels(g, parallel.label_span()).valid);
+  EXPECT_LE(parallel.stats.num_iterations, 2 * serial_iterations)
+      << "serial " << serial_iterations;
 }
 
 }  // namespace
