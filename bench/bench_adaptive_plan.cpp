@@ -15,14 +15,12 @@
 // barrier-free async drain (fixed:async); every (scenario, plan) pair
 // is cross-checked against the union-find reference partition before
 // it is timed — an adversarial plan may cost time, never correctness.
-// `--json <path>` dumps the numbers for scripts/bench_compare.py.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common/harness.hpp"
-#include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "core/cc_common.hpp"
 #include "gen/rmat.hpp"
@@ -96,7 +94,7 @@ struct ScenarioRow {
 };
 
 struct PlanRow {
-  /// Short label for tables/JSON.
+  /// Short label for the table.
   const char* name;
   /// The --plan / THRIFTY_PLAN spec text.
   const char* spec_text;
@@ -125,7 +123,7 @@ double min_time_ms(int trials, Fn&& fn) {
   return best;
 }
 
-int run(int argc, char** argv) {
+int run() {
   const auto scale = support::bench_scale();
   const int trials = bench::default_trials();
   bench::print_banner(
@@ -141,7 +139,6 @@ int run(int argc, char** argv) {
                        build_two_clique_bridge(rmat_scale)});
   scenarios.push_back({"uniform", build_rmat(rmat_scale, /*uniform=*/true)});
 
-  bench::JsonReport report;
   bench::TablePrinter table(
       {"Scenario", "Plan", "Best (ms)", "Steps", "vs auto"});
 
@@ -178,22 +175,15 @@ int run(int argc, char** argv) {
                      bench::TablePrinter::fmt_ms(ms),
                      bench::TablePrinter::fmt_count(steps),
                      bench::TablePrinter::fmt_ratio(vs_auto)});
-      report.add({std::string(scenario.name) + "/" + plan.name,
-                  {{"best_ms", ms},
-                   {"steps", static_cast<double>(steps)},
-                   {"vs_auto", vs_auto}}});
     }
   }
 
   table.print();
   std::printf("(vs auto > 1.0 means the fixed plan is slower than the "
               "adaptive planner)\n");
-
-  const std::string json_path = bench::json_path_from_args(argc, argv);
-  if (!json_path.empty() && !report.write_file(json_path)) return 1;
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main() { return run(); }

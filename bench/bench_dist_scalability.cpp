@@ -11,7 +11,6 @@
 // shard-local sweep time scales with shard size while the boundary
 // exchange (reported separately) stays a small fraction; the budgeted
 // run keeps the resident window at one shard at the cost of reloads.
-// `--json <path>` dumps the sharded rows for scripts/bench_compare.py.
 #include <unistd.h>
 
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include <string>
 
 #include "bench_common/datasets.hpp"
-#include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "core/verify.hpp"
 #include "shard/manifest.hpp"
@@ -41,9 +39,7 @@ constexpr double kBytesPerBoundaryUpdate = 8.0;
 void run_sharded_row(const graph::CsrGraph& g,
                      const shard::ShardManifest& manifest,
                      std::uint64_t budget, const std::string& label,
-                     bench::TablePrinter& table,
-                     bench::JsonReport& report,
-                     const std::string& json_name) {
+                     bench::TablePrinter& table) {
   shard::ShardedCcOptions options;
   options.memory_budget_bytes = budget;
   support::Timer timer;
@@ -68,14 +64,9 @@ void run_sharded_row(const graph::CsrGraph& g,
                  bench::TablePrinter::fmt_ratio(
                      static_cast<double>(stats.peak_window_bytes) /
                      (1024.0 * 1024.0))});
-  report.add({json_name,
-              {{"solve_ms", solve_ms},
-               {"sweep_ms", stats.sweep_ms},
-               {"exchange_ms", stats.exchange_ms}}});
 }
 
-void run_sharded_dataset(const char* name, support::Scale scale,
-                         bench::JsonReport& report) {
+void run_sharded_dataset(const char* name, support::Scale scale) {
   const auto* spec = bench::find_dataset(name);
   const graph::CsrGraph g = bench::build_dataset(*spec, scale);
   std::printf("\nDataset: %s (%u vertices, %llu directed edges)\n", name,
@@ -95,15 +86,11 @@ void run_sharded_dataset(const char* name, support::Scale scale,
     shard::write_sharded_snapshot(manifest_path, sharded);
     const shard::ShardManifest manifest =
         shard::read_shard_manifest(manifest_path);
-    run_sharded_row(g, manifest, /*budget=*/0, std::to_string(k), table,
-                    report,
-                    std::string("sharded_") + name + "_k" +
-                        std::to_string(k));
+    run_sharded_row(g, manifest, /*budget=*/0, std::to_string(k), table);
     if (k == 8) {
       // Tight budget: room for one shard, so the window must cycle.
       run_sharded_row(g, manifest, manifest.max_shard_csr_bytes(),
-                      "8+budget", table, report,
-                      std::string("sharded_") + name + "_k8_budget");
+                      "8+budget", table);
     }
   }
   table.print();
@@ -111,27 +98,23 @@ void run_sharded_dataset(const char* name, support::Scale scale,
   std::filesystem::remove_all(dir, ec);
 }
 
-int run(int argc, char** argv) {
+int run() {
   const auto scale = support::bench_scale();
   bench::print_banner(
       std::string("Out-of-core sharded solve: streaming window over a "
                   "persisted sharded snapshot (§V-B / §VII; scale: ") +
       support::to_string(scale) + ")");
-  bench::JsonReport report;
-  run_sharded_dataset("twitter", scale, report);
-  run_sharded_dataset("gb_road", scale, report);
+  run_sharded_dataset("twitter", scale);
+  run_sharded_dataset("gb_road", scale);
   std::printf(
       "\nShape check: sweep time tracks shard-local edge work while the "
       "boundary exchange (reported separately) tracks the cut size — "
       "large on the dense R-MAT, negligible on the road grid; the "
       "budgeted run holds the resident window at one shard's footprint "
       "at the cost of extra loads.\n");
-
-  const std::string json_path = bench::json_path_from_args(argc, argv);
-  if (!json_path.empty() && !report.write_file(json_path)) return 1;
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main() { return run(); }

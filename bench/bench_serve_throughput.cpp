@@ -12,7 +12,7 @@
 // exits 1, so CI can run this as a smoke gate.
 //
 //   bench_serve_throughput [--scale=N] [--ef=N] [--readers=N]
-//                          [--batch=N] [--seconds=S] [--json <path>]
+//                          [--batch=N] [--seconds=S]
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
@@ -184,22 +183,6 @@ int main(int argc, char** argv) {
                  std::to_string(recompactions_checked)});
   table.add_row({"components", std::to_string(stats.components)});
   table.print();
-
-  const std::string json_path = bench::json_path_from_args(argc, argv);
-  if (!json_path.empty()) {
-    bench::JsonReport report;
-    bench::JsonEntry entry;
-    entry.name = "serve_throughput";
-    entry.metrics = {
-        {"queries_per_sec", queries_per_sec},
-        {"edges_per_sec", edges_per_sec},
-        {"reader_threads", static_cast<double>(options.readers)},
-        {"recompactions", static_cast<double>(recompactions_checked)},
-        {"verify_failures", static_cast<double>(verify_failures.load())},
-    };
-    report.add(std::move(entry));
-    report.write_file(json_path);
-  }
 
   if (verify_failures.load() != 0) return 1;
   std::printf("verified: %llu recompaction cross-checks clean\n",

@@ -12,7 +12,6 @@
 
 #include "bench_common/datasets.hpp"
 #include "bench_common/harness.hpp"
-#include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "cc_baselines/registry.hpp"
 #include "support/env.hpp"
@@ -22,7 +21,7 @@ namespace {
 
 using namespace thrifty;  // NOLINT(google-build-using-namespace)
 
-int run(int argc, char** argv) {
+int run() {
   const auto scale = support::bench_scale();
   bench::print_banner(
       std::string("Table IV: CC execution times in milliseconds (scale: ") +
@@ -40,22 +39,17 @@ int run(int argc, char** argv) {
 
   // Per-algorithm speedup-vs-Thrifty accumulators over skewed datasets.
   std::vector<std::vector<double>> speedups(algorithms.size());
-  bench::JsonReport report;
 
   for (const auto& spec : bench::all_datasets()) {
     const graph::CsrGraph g = bench::build_dataset(spec, scale);
     std::vector<std::string> row{std::string(spec.name)};
     std::vector<double> times;
-    bench::JsonEntry entry;
-    entry.name = std::string(spec.name);
     for (const auto& algo : algorithms) {
       const bench::TimingResult timing =
           bench::time_algorithm(algo, g, harness);
       times.push_back(timing.min_ms);
       row.push_back(bench::TablePrinter::fmt_ms(timing.min_ms));
-      entry.metrics.emplace_back(std::string(algo.name), timing.min_ms);
     }
-    report.add(std::move(entry));
     table.add_row(std::move(row));
     if (spec.power_law) {
       const double thrifty_ms = times.back();
@@ -78,12 +72,9 @@ int run(int argc, char** argv) {
                 std::string(algorithms[a].display_name).c_str(),
                 support::geomean(speedups[a]));
   }
-
-  const std::string json_path = bench::json_path_from_args(argc, argv);
-  if (!json_path.empty() && !report.write_file(json_path)) return 1;
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main() { return run(); }

@@ -19,7 +19,7 @@ namespace thrifty::baselines {
 
 namespace {
 
-constexpr std::array<AlgorithmEntry, 13> kAlgorithms = {{
+constexpr std::array<AlgorithmEntry, 12> kAlgorithms = {{
     {"sv", "SV", &shiloach_vishkin_cc, false, 0.0},
     {"bfs_cc", "BFS-CC", &bfs_cc, false, 0.0},
     {"dolp", "DO-LP", &core::dolp_cc, true, frontier::kLigraThreshold},
@@ -29,7 +29,6 @@ constexpr std::array<AlgorithmEntry, 13> kAlgorithms = {{
      frontier::kThriftyThreshold},
     {"dolp_unified", "DO-LP+Unified", &core::dolp_unified_cc, true,
      frontier::kLigraThreshold},
-    {"lp_pull", "LP-Pull", &core::lp_pull_cc, true, 0.0},
     {"sampled_lp", "Sampled+LP", &sampled_lp_cc, true,
      frontier::kThriftyThreshold},
     {"fastsv", "FastSV", &fastsv_cc, true, 0.0},

@@ -236,45 +236,4 @@ CcResult dolp_unified_cc(const CsrGraph& graph, const CcOptions& options) {
   return dolp_dispatch<true>(graph, options);
 }
 
-CcResult lp_pull_cc(const CsrGraph& graph, const CcOptions& options) {
-  const VertexId n = graph.num_vertices();
-  CcResult result;
-  result.stats.algorithm = "lp_pull";
-  result.labels = make_label_array(n);
-  if (n == 0) return result;
-  LabelArray& labels = result.labels;
-  support::Timer total_timer;
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) labels[v] = v;
-
-  bool changed = true;
-  int iteration = 0;
-  while (changed) {
-    std::uint64_t changes = 0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : changes)
-    for (VertexId v = 0; v < n; ++v) {
-      Label new_label = load_label(labels[v]);
-      for (const VertexId u : graph.neighbors(v)) {
-        const Label lu = load_label(labels[u]);
-        if (lu < new_label) new_label = lu;
-      }
-      if (new_label < load_label(labels[v])) {
-        store_label(labels[v], new_label);
-        ++changes;
-      }
-    }
-    IterationRecord rec;
-    rec.index = iteration;
-    rec.direction = Direction::kPull;
-    rec.label_changes = changes;
-    result.stats.iterations.push_back(rec);
-    changed = changes > 0;
-    ++iteration;
-  }
-  result.stats.total_ms = total_timer.elapsed_ms();
-  result.stats.num_iterations = iteration;
-  (void)options;
-  return result;
-}
-
 }  // namespace thrifty::core

@@ -21,10 +21,4 @@ namespace thrifty::core {
 [[nodiscard]] CcResult dolp_unified_cc(const graph::CsrGraph& graph,
                                        const CcOptions& options = {});
 
-/// Plain pull-only label propagation over a single label array, no
-/// frontier tracking: the textbook LP-CC, kept as the simplest correct
-/// implementation (tests) and as a "no optimisations at all" reference.
-[[nodiscard]] CcResult lp_pull_cc(const graph::CsrGraph& graph,
-                                  const CcOptions& options = {});
-
 }  // namespace thrifty::core

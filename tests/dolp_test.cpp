@@ -147,13 +147,6 @@ TEST(Dolp, FinalLabelIsMinVertexIdOfComponent) {
   for (const graph::Label l : result.label_span()) EXPECT_EQ(l, 0u);
 }
 
-TEST(LpPull, CorrectAndTerminates) {
-  const CsrGraph g = skewed_graph(11, 6);
-  const CcResult result = lp_pull_cc(g);
-  EXPECT_TRUE(verify_labels(g, result.label_span()).valid);
-  EXPECT_GT(result.stats.num_iterations, 0);
-}
-
 TEST(Dolp, TimeIsRecordedPerIteration) {
   CcOptions options;
   options.instrument = true;

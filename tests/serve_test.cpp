@@ -1,16 +1,25 @@
 // Tests for the serving layer (src/serve): service semantics against the
 // union-find reference after every ingest batch and recompaction,
 // epoch-swap snapshot isolation, degenerate graphs, the staleness /
-// recompaction policy, the line protocol and its input bounds, and a
-// concurrent query+ingest stress test (the TSan target for the RCU
-// epoch swap).
+// recompaction policy, the line protocol and its input bounds, the Unix
+// socket transport's session cap and shutdown, and a concurrent
+// query+ingest stress test (the TSan target for the RCU epoch swap).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +32,7 @@
 #include "graph/builder.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
+#include "serve/socket_server.hpp"
 
 namespace thrifty::serve {
 namespace {
@@ -358,6 +368,118 @@ TEST(ProtocolDeathTest, HugeIngestCountThenEofAnswersErr) {
         std::exit(errors == 1 && out.str().rfind("ERR ", 0) == 0 ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+// --- Unix socket transport. ---
+
+/// A client socket connected to `path`, -1 on failure.  Reads time out
+/// after 10 s, so a server that never answers fails the test instead of
+/// hanging it.
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// One response line without its newline; "<eof>" when the server closed
+/// the connection (or the read timed out) first.
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    if (c == '\n') return line;
+    line += c;
+  }
+  return line.empty() ? "<eof>" : line;
+}
+
+std::string request(int fd, const std::string& command) {
+  const std::string text = command + "\n";
+  if (::send(fd, text.data(), text.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(text.size())) {
+    return "<send failed>";
+  }
+  return read_line(fd);
+}
+
+TEST(ServiceSocket, CapsSessionsSurvivesSignalsAndJoinsBeforeReturning) {
+  ConnectivityService service(make_graph({{0, 1}, {2, 3}}, 6));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("serve_test_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  const int listener = listen_unix(path);
+
+  // No SA_RESTART: a signal to the loop thread fails accept with EINTR.
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = [](int) {};
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  std::atomic<bool> returned{false};
+  int loop_error = 0;
+  std::thread loop([&] {
+    loop_error = accept_loop(service, listener);
+    returned.store(true);
+  });
+
+  std::vector<int> clients;
+  for (int i = 0; i < kMaxSessions; ++i) {
+    clients.push_back(connect_unix(path));
+    EXPECT_EQ(request(clients.back(), "count"), "OK 4");
+  }
+  for (int i = 0; i < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ::pthread_kill(loop.native_handle(), SIGUSR1);
+  }
+
+  // One connection over the cap is turned away; the open ones go on.
+  const int extra = connect_unix(path);
+  EXPECT_EQ(read_line(extra), "ERR busy");
+  EXPECT_EQ(read_line(extra), "<eof>");
+  ::close(extra);
+  EXPECT_EQ(request(clients[0], "count"), "OK 4");
+
+  // A session that ends frees its slot for a new connection, once its
+  // thread has finished: until then the server may still answer busy.
+  EXPECT_EQ(request(clients[0], "quit"), "OK bye");
+  ::close(clients[0]);
+  std::string reply = "ERR busy";
+  for (int attempt = 0; attempt < 500 && (reply == "ERR busy" ||
+                                          reply == "<send failed>");
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    clients[0] = connect_unix(path);
+    reply = request(clients[0], "count");
+    if (reply != "OK 4") ::close(clients[0]);
+  }
+  EXPECT_EQ(reply, "OK 4");
+
+  // Shutting the listener down fails accept, but the loop returns only
+  // after the last open session has ended.
+  ::shutdown(listener, SHUT_RDWR);
+  for (std::size_t i = 1; i < clients.size(); ++i) ::close(clients[i]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(request(clients[0], "count"), "OK 4");
+  ::close(clients[0]);
+  loop.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_NE(loop_error, 0);
+
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 // --- Concurrency: the TSan target. ---

@@ -8,7 +8,8 @@
 //
 //   thrifty_serve GRAPH                    stdin/stdout REPL (default)
 //   thrifty_serve GRAPH --socket=PATH      AF_UNIX server, one thread
-//                                          per connection
+//                                          per connection, at most
+//                                          serve::kMaxSessions at once
 //
 //   --mmap                 load .bin snapshots as zero-copy mapped views
 //   --staleness=FRAC       recompact when pending edges exceed FRAC of
@@ -20,26 +21,19 @@
 // Protocol responses go to stdout; diagnostics to stderr, so piped
 // sessions stay machine-readable.  `quit` (or EOF) ends a session; the
 // socket server runs until killed.
-#include <atomic>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
+#include "serve/socket_server.hpp"
 #include "tools/tool_common.hpp"
-
-#ifndef _WIN32
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <streambuf>
-#endif
 
 namespace {
 
@@ -52,91 +46,16 @@ constexpr const char* kUsage =
     "GRAPH is a path (.el/.txt/.bin/.mtx) or a gen: spec, e.g.\n"
     "  thrifty_serve gen:rmat:scale=14,ef=16\n";
 
-#ifndef _WIN32
-
-/// Minimal bidirectional streambuf over a connected socket fd: buffered
-/// reads (getline-friendly), unbuffered writes (one syscall per
-/// response flush keeps the protocol's request/response lockstep).
-class FdStreambuf final : public std::streambuf {
- public:
-  explicit FdStreambuf(int fd) : fd_(fd) {}
-
- protected:
-  int_type underflow() override {
-    const ssize_t n = ::read(fd_, buffer_, sizeof buffer_);
-    if (n <= 0) return traits_type::eof();
-    setg(buffer_, buffer_, buffer_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
-  int_type overflow(int_type ch) override {
-    if (ch == traits_type::eof()) return traits_type::not_eof(ch);
-    const char c = traits_type::to_char_type(ch);
-    return ::write(fd_, &c, 1) == 1 ? ch : traits_type::eof();
-  }
-
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    std::streamsize written = 0;
-    while (written < count) {
-      const ssize_t n = ::write(fd_, data + written,
-                                static_cast<std::size_t>(count - written));
-      if (n <= 0) break;
-      written += n;
-    }
-    return written;
-  }
-
- private:
-  int fd_;
-  char buffer_[4096];
-};
-
 int serve_socket(serve::ConnectivityService& service,
                  const std::string& path) {
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::perror("thrifty_serve: socket");
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "thrifty_serve: socket path too long: %s\n",
-                 path.c_str());
-    ::close(listener);
-    return 1;
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0 ||
-      ::listen(listener, 16) < 0) {
-    std::perror("thrifty_serve: bind/listen");
-    ::close(listener);
-    return 1;
-  }
+  const int listener = serve::listen_unix(path);
   std::fprintf(stderr, "thrifty_serve: listening on %s\n", path.c_str());
-
-  // One thread per connection; the service's own synchronisation
-  // (snapshot pinning + serialised writer) makes the handlers safe to
-  // run concurrently.  The server runs until killed.
-  while (true) {
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) break;
-    std::thread([&service, conn] {
-      FdStreambuf buf(conn);
-      std::istream in(&buf);
-      std::ostream out(&buf);
-      serve::serve_session(service, in, out);
-      ::close(conn);
-    }).detach();
-  }
+  const int error = serve::accept_loop(service, listener);
+  std::fprintf(stderr, "thrifty_serve: accept: %s\n", std::strerror(error));
   ::close(listener);
   ::unlink(path.c_str());
-  return 0;
+  return 1;
 }
-
-#endif  // !_WIN32
 
 int run(int argc, char** argv) {
   const tools::ArgParser args(argc, argv);
@@ -176,12 +95,7 @@ int run(int argc, char** argv) {
                static_cast<unsigned long long>(stats.epoch));
 
   if (const auto socket_path = args.flag("socket")) {
-#ifndef _WIN32
     return serve_socket(service, *socket_path);
-#else
-    std::fprintf(stderr, "thrifty_serve: --socket unsupported here\n");
-    return 2;
-#endif
   }
 
   const std::uint64_t errors =
