@@ -108,6 +108,7 @@ ValidationReport validate_csr(std::span<const EdgeOffset> offsets,
   }
   const std::size_t n = offsets.size() - 1;
   const auto m = static_cast<EdgeOffset>(neighbors.size());
+  const std::uint64_t id_limit = options.id_limit.value_or(n);
   if (offsets.front() != 0) {
     report.first_violation = CsrViolation::kFirstOffsetNonZero;
     report.first_vertex = 0;
@@ -147,7 +148,7 @@ ValidationReport validate_csr(std::span<const EdgeOffset> offsets,
       bool list_sorted = true;
       for (EdgeOffset e = begin; e < end; ++e) {
         const VertexId w = neighbors[e];
-        if (w >= n) {
+        if (w >= id_limit) {
           ++out_of_range;
           record(first, CsrViolation::kNeighborOutOfRange, v, e);
         }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -58,6 +59,10 @@ struct ValidateOptions {
   bool require_sorted = false;
   bool require_deduplicated = false;
   bool forbid_self_loops = false;
+  /// Neighbour ids must be below this; unset, below the vertex count.
+  /// Set for a CSR whose ids index another space (a shard's cut CSR,
+  /// whose ids are boundary slots).
+  std::optional<std::uint64_t> id_limit;
 };
 
 /// What the checker found.  `ok()` is the gate; everything else is

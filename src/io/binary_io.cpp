@@ -8,22 +8,18 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <vector>
 
-#include "graph/validate.hpp"
-#include "support/assert.hpp"
-#include "support/math.hpp"
-#include "support/uninit_vector.hpp"
-
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-#define THRIFTY_HAVE_PREAD 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#else
-#define THRIFTY_HAVE_PREAD 0
-#endif
+
+#include "graph/validate.hpp"
+#include "support/assert.hpp"
+#include "support/math.hpp"
+#include "support/uninit_vector.hpp"
 
 namespace thrifty::io {
 
@@ -86,59 +82,14 @@ std::optional<std::uint64_t> stream_size(std::istream& in) {
   return static_cast<std::uint64_t>(end);
 }
 
-/// Checks the declared sizes against each other and against the actual
-/// byte count (when known) before anything is allocated.
-void check_declared_sizes(std::uint64_t n, std::uint64_t m,
-                          std::optional<std::uint64_t> total_bytes,
-                          const std::string& context) {
-  // n must fit the 4-byte VertexId (which also makes the (n + 1) * 8 below
-  // overflow-free), and the declared payload must match the actual size
-  // exactly, so a hostile header can neither trigger an unbounded
-  // allocation nor smuggle trailing bytes past the reader.
-  if (n > std::numeric_limits<VertexId>::max()) {
-    throw IoError(IoErrorKind::kHeaderBounds,
-                  "vertex count " + std::to_string(n) +
-                      " exceeds 32-bit vertex ids",
-                  context, 0, 8);
-  }
-  const std::uint64_t offsets_bytes = (n + 1) * sizeof(EdgeOffset);
-  const std::optional<std::uint64_t> neighbors_bytes =
-      support::checked_mul<std::uint64_t>(m, sizeof(VertexId));
-  const std::optional<std::uint64_t> expected =
-      neighbors_bytes
-          ? support::checked_add<std::uint64_t>(
-                kHeaderBytes + offsets_bytes, *neighbors_bytes)
-          : std::nullopt;
-  if (!expected) {
-    throw IoError(IoErrorKind::kHeaderBounds,
-                  "declared sizes overflow 64 bits (n=" +
-                      std::to_string(n) + ", m=" + std::to_string(m) + ")",
-                  context, 0, 8);
-  }
-  if (total_bytes) {
-    if (*expected > *total_bytes) {
-      throw IoError(IoErrorKind::kTruncated,
-                    "header declares " + std::to_string(*expected) +
-                        " bytes but stream holds " +
-                        std::to_string(*total_bytes),
-                    context, 0, 8);
-    }
-    if (*expected < *total_bytes) {
-      throw IoError(IoErrorKind::kTrailingGarbage,
-                    std::to_string(*total_bytes - *expected) +
-                        " byte(s) past the declared payload",
-                    context, 0, *expected);
-    }
-  }
-}
-
 /// Byte offset of the first invariant violation a validation report
 /// names, for the IoError context.
 std::uint64_t violation_byte_offset(const graph::ValidationReport& report,
-                                    std::uint64_t n) {
+                                    const CsrFileShape& shape) {
   using graph::CsrViolation;
-  const std::uint64_t offsets_base = CsrSnapshotLayout::offsets_begin();
-  const std::uint64_t neighbors_base = CsrSnapshotLayout::neighbors_begin(n);
+  const std::uint64_t offsets_base = shape.header_bytes;
+  const std::uint64_t neighbors_base = shape.ids_begin();
+  const std::uint64_t n = shape.n;
   switch (report.first_violation) {
     case CsrViolation::kFirstOffsetNonZero:
       return offsets_base;
@@ -165,7 +116,7 @@ struct Chunk {
 struct PayloadScan {
   bool complete = true;  ///< every chunk was filled
   bool monotone = true;
-  bool ids_in_range = true;  ///< every neighbour id < n
+  bool ids_in_range = true;  ///< every id < the shape's id_limit
 };
 
 /// Walks the payload in fixed-size chunks, in parallel from
@@ -175,17 +126,17 @@ struct PayloadScan {
 /// while it is still in cache.
 template <typename Fill>
 PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
-                         std::span<const VertexId> neighbors, Fill&& fill) {
+                         std::span<const VertexId> neighbors,
+                         std::uint64_t id_limit, Fill&& fill) {
   const std::size_t offset_chunks =
       support::ceil_div(offsets.size(), kOffsetsPerChunk);
   const std::size_t chunks =
       offset_chunks + support::ceil_div(neighbors.size(), kIdsPerChunk);
   const bool parallel = offsets.size_bytes() + neighbors.size_bytes() >=
                         kParallelPayloadBytes;
-  // Ids are 32-bit, so every id is below an n beyond that range.
-  const std::uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
-  const bool check_ids = n <= std::numeric_limits<VertexId>::max();
-  const auto limit = static_cast<VertexId>(check_ids ? n : 0);
+  // Ids are 32-bit, so every id is below a limit beyond that range.
+  const bool check_ids = id_limit <= std::numeric_limits<VertexId>::max();
+  const auto limit = static_cast<VertexId>(check_ids ? id_limit : 0);
   bool complete = true;
   bool monotone = true;
   bool ids_in_range = true;
@@ -231,7 +182,8 @@ PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
 /// run, to locate the first violation for the error.
 void check_payload(std::span<const EdgeOffset> offsets,
                    std::span<const VertexId> neighbors,
-                   const PayloadScan& scan, const std::string& context) {
+                   const PayloadScan& scan, const CsrFileShape& shape,
+                   const std::string& context) {
   if (!offsets.empty() && offsets.front() == 0 &&
       offsets.back() == neighbors.size() && scan.monotone &&
       scan.ids_in_range) {
@@ -239,12 +191,16 @@ void check_payload(std::span<const EdgeOffset> offsets,
   }
   graph::ValidateOptions vopts;
   vopts.check_symmetry = false;
+  vopts.id_limit = shape.id_limit;
   const graph::ValidationReport report =
       graph::validate_csr(offsets, neighbors, vopts);
   THRIFTY_ASSERT(!report.ok());
-  throw IoError(IoErrorKind::kInvariantViolation, report.to_string(),
-                context, 0,
-                violation_byte_offset(report, offsets.size() - 1));
+  const IoErrorKind kind =
+      report.first_violation == graph::CsrViolation::kNeighborOutOfRange
+          ? shape.out_of_range_kind
+          : IoErrorKind::kInvariantViolation;
+  throw IoError(kind, report.to_string(), context, 0,
+                violation_byte_offset(report, shape));
 }
 
 graph::CsrGraph read_csr_stream_file(const std::string& path) {
@@ -255,9 +211,7 @@ graph::CsrGraph read_csr_stream_file(const std::string& path) {
   return read_csr(in, path);
 }
 
-#if THRIFTY_HAVE_PREAD
-
-/// Read-only file descriptor, closed on scope exit.
+/// A file opened for positional reads, closed on scope exit.
 class ReadOnlyFile {
  public:
   explicit ReadOnlyFile(const std::string& path)
@@ -265,14 +219,23 @@ class ReadOnlyFile {
     if (fd_ < 0) {
       throw IoError(IoErrorKind::kOpenFailed, "cannot open for read", path);
     }
+    struct ::stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      ::close(fd_);
+      throw IoError(IoErrorKind::kOpenFailed, "cannot stat", path);
+    }
+    size_ = static_cast<std::uint64_t>(st.st_size);
   }
   ~ReadOnlyFile() { ::close(fd_); }
   ReadOnlyFile(const ReadOnlyFile&) = delete;
   ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
 
+  /// File size when opened.
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+
   /// Reads up to `bytes` at file offset `at`, looping on short reads and
   /// EINTR.  Returns the bytes read: fewer than asked only at end of file
-  /// or on a read error.
+  /// or on a read error.  Safe to call from several threads at once.
   std::uint64_t read_at(void* data, std::uint64_t bytes,
                         std::uint64_t at) const {
     auto* out = static_cast<char*>(data);
@@ -288,10 +251,9 @@ class ReadOnlyFile {
     return done;
   }
 
-  [[nodiscard]] int fd() const { return fd_; }
-
  private:
   int fd_;
+  std::uint64_t size_ = 0;
 };
 
 /// Lowers `target` to `value` if smaller.
@@ -303,31 +265,82 @@ void lower(std::atomic<std::uint64_t>& target, std::uint64_t value) {
   }
 }
 
-graph::CsrGraph read_csr_pread(const ReadOnlyFile& file,
-                               std::uint64_t total_bytes,
-                               const std::string& path) {
-  std::array<char, kHeaderBytes> header{};
-  const std::uint64_t header_bytes = file.read_at(
-      header.data(), std::min(total_bytes, kHeaderBytes), 0);
-  const SnapshotShape shape = parse_snapshot_header(
-      {header.data(), static_cast<std::size_t>(header_bytes)}, total_bytes,
-      path);
+/// Cross-checks a declared shape against the file's byte count (when
+/// known) before anything is allocated: n must fit 32-bit ids, the sizes
+/// must not overflow 64 bits (kHeaderBounds, at byte 8), and the payload
+/// must fill the file exactly (kTruncated at byte 8, kTrailingGarbage at
+/// the first extra byte).
+void check_csr_file_size(const CsrFileShape& shape,
+                         std::optional<std::uint64_t> total_bytes,
+                         const std::string& context) {
+  // n must fit the 4-byte VertexId (which also makes the (n + 1) * 8 below
+  // overflow-free), and the declared payload must match the actual size
+  // exactly, so a hostile header can neither trigger an unbounded
+  // allocation nor smuggle trailing bytes past the reader.
+  if (shape.n > std::numeric_limits<VertexId>::max()) {
+    throw IoError(IoErrorKind::kHeaderBounds,
+                  "vertex count " + std::to_string(shape.n) +
+                      " exceeds 32-bit vertex ids",
+                  context, 0, 8);
+  }
+  const std::optional<std::uint64_t> ids_bytes =
+      support::checked_mul<std::uint64_t>(shape.m, sizeof(VertexId));
+  const std::optional<std::uint64_t> expected =
+      ids_bytes ? support::checked_add<std::uint64_t>(shape.ids_begin(),
+                                                      *ids_bytes)
+                : std::nullopt;
+  if (!expected) {
+    throw IoError(IoErrorKind::kHeaderBounds,
+                  "declared sizes overflow 64 bits (n=" +
+                      std::to_string(shape.n) +
+                      ", m=" + std::to_string(shape.m) + ")",
+                  context, 0, 8);
+  }
+  if (total_bytes) {
+    if (*expected > *total_bytes) {
+      throw IoError(IoErrorKind::kTruncated,
+                    "header declares " + std::to_string(*expected) +
+                        " bytes but stream holds " +
+                        std::to_string(*total_bytes),
+                    context, 0, 8);
+    }
+    if (*expected < *total_bytes) {
+      throw IoError(IoErrorKind::kTrailingGarbage,
+                    std::to_string(*total_bytes - *expected) +
+                        " byte(s) past the declared payload",
+                    context, 0, *expected);
+    }
+  }
+}
 
-  support::UninitVector<EdgeOffset> offsets(
-      static_cast<std::size_t>(shape.n) + 1);
-  support::UninitVector<VertexId> neighbors(
-      static_cast<std::size_t>(shape.m));
+}  // namespace
+
+CsrArrays read_csr_arrays(
+    const std::string& path, std::uint64_t header_bytes,
+    const std::function<CsrFileShape(std::span<const char>, std::uint64_t)>&
+        parse_header) {
+  const ReadOnlyFile file(path);
+  std::vector<char> header(static_cast<std::size_t>(header_bytes));
+  const std::uint64_t got_header = file.read_at(
+      header.data(), std::min(file.size(), header_bytes), 0);
+  const CsrFileShape shape = parse_header(
+      {header.data(), static_cast<std::size_t>(got_header)}, file.size());
+  check_csr_file_size(shape, file.size(), path);
+
+  CsrArrays arrays;
+  arrays.offsets.resize(static_cast<std::size_t>(shape.n) + 1);
+  arrays.ids.resize(static_cast<std::size_t>(shape.m));
   // Each thread preads its own chunks, so it also faults in their pages.
   std::atomic<std::uint64_t> end_of_file{IoError::kNoPosition};
   const auto fill = [&](const Chunk& chunk) {
     const std::size_t element =
         chunk.offsets ? sizeof(EdgeOffset) : sizeof(VertexId);
-    void* data = chunk.offsets
-                     ? static_cast<void*>(offsets.data() + chunk.begin)
-                     : static_cast<void*>(neighbors.data() + chunk.begin);
+    void* data =
+        chunk.offsets
+            ? static_cast<void*>(arrays.offsets.data() + chunk.begin)
+            : static_cast<void*>(arrays.ids.data() + chunk.begin);
     const std::uint64_t at =
-        (chunk.offsets ? CsrSnapshotLayout::offsets_begin()
-                       : CsrSnapshotLayout::neighbors_begin(shape.n)) +
+        (chunk.offsets ? shape.header_bytes : shape.ids_begin()) +
         chunk.begin * element;
     const std::uint64_t bytes = (chunk.end - chunk.begin) * element;
     const std::uint64_t got = file.read_at(data, bytes, at);
@@ -335,23 +348,18 @@ graph::CsrGraph read_csr_pread(const ReadOnlyFile& file,
     lower(end_of_file, at + got);
     return false;
   };
-  const std::span<const EdgeOffset> offset_view{offsets.data(),
-                                                offsets.size()};
-  const std::span<const VertexId> neighbor_view{neighbors.data(),
-                                                neighbors.size()};
-  const PayloadScan scan = scan_payload(offset_view, neighbor_view, fill);
+  const std::span<const EdgeOffset> offsets{arrays.offsets.data(),
+                                            arrays.offsets.size()};
+  const std::span<const VertexId> ids{arrays.ids.data(), arrays.ids.size()};
+  const PayloadScan scan = scan_payload(offsets, ids, shape.id_limit, fill);
   if (!scan.complete) {
-    // The file shrank after fstat.
-    throw IoError(IoErrorKind::kTruncated, "unexpected end of snapshot",
-                  path, 0, end_of_file.load());
+    // The file shrank after it was opened.
+    throw IoError(IoErrorKind::kTruncated, "unexpected end of snapshot", path,
+                  0, end_of_file.load());
   }
-  check_payload(offset_view, neighbor_view, scan, path);
-  return graph::CsrGraph(std::move(offsets), std::move(neighbors));
+  check_payload(offsets, ids, scan, shape, path);
+  return arrays;
 }
-
-#endif  // THRIFTY_HAVE_PREAD
-
-}  // namespace
 
 SnapshotShape parse_snapshot_header(std::span<const char> prefix,
                                     std::optional<std::uint64_t> total_bytes,
@@ -372,7 +380,8 @@ SnapshotShape parse_snapshot_header(std::span<const char> prefix,
   SnapshotShape shape;
   std::memcpy(&shape.n, prefix.data() + 8, sizeof shape.n);
   std::memcpy(&shape.m, prefix.data() + 16, sizeof shape.m);
-  check_declared_sizes(shape.n, shape.m, total_bytes, context);
+  check_csr_file_size({kHeaderBytes, shape.n, shape.m, shape.n}, total_bytes,
+                      context);
   return shape;
 }
 
@@ -382,9 +391,11 @@ void validate_snapshot_payload(std::span<const EdgeOffset> offsets,
   // Verified on the raw arrays, so corrupt data surfaces as a catchable
   // typed error instead of tripping the CsrGraph constructor's aborting
   // contract checks.
-  const PayloadScan scan =
-      scan_payload(offsets, neighbors, [](const Chunk&) { return true; });
-  check_payload(offsets, neighbors, scan, context);
+  const std::uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  const CsrFileShape shape{kHeaderBytes, n, neighbors.size(), n};
+  const PayloadScan scan = scan_payload(offsets, neighbors, shape.id_limit,
+                                        [](const Chunk&) { return true; });
+  check_payload(offsets, neighbors, scan, shape, context);
 }
 
 void write_csr(std::ostream& out, const graph::CsrGraph& graph) {
@@ -450,7 +461,6 @@ graph::CsrGraph read_csr(std::istream& in, const std::string& context) {
 }
 
 graph::CsrGraph read_csr_file(const std::string& path) {
-#if THRIFTY_HAVE_PREAD
   // Anything but a regular file (a FIFO) has no size to pread against,
   // and opening it twice would race its writer, so it goes to the stream
   // loader without being opened here.
@@ -458,14 +468,14 @@ graph::CsrGraph read_csr_file(const std::string& path) {
   if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
     return read_csr_stream_file(path);
   }
-  const ReadOnlyFile file(path);
-  if (::fstat(file.fd(), &st) != 0) {
-    throw IoError(IoErrorKind::kOpenFailed, "cannot stat", path);
-  }
-  return read_csr_pread(file, static_cast<std::uint64_t>(st.st_size), path);
-#else
-  return read_csr_stream_file(path);
-#endif
+  CsrArrays arrays = read_csr_arrays(
+      path, kHeaderBytes,
+      [&](std::span<const char> prefix, std::uint64_t total_bytes) {
+        const SnapshotShape shape =
+            parse_snapshot_header(prefix, total_bytes, path);
+        return CsrFileShape{kHeaderBytes, shape.n, shape.m, shape.n};
+      });
+  return graph::CsrGraph(std::move(arrays.offsets), std::move(arrays.ids));
 }
 
 }  // namespace thrifty::io

@@ -23,11 +23,14 @@
 // cache.  The same header parse and payload check back it, the stream
 // loader and the zero-copy mmap loader (io/mmap_io.hpp), so all three
 // reject identical malformed inputs with identical IoError kinds and
-// byte offsets.
+// byte offsets.  The chunked reader itself (read_csr_arrays) serves any
+// CSR-shaped file: a shard's cut sidecar (shard/manifest.hpp) is read by
+// it too, with its own header and its ids bounded by the slot count.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -35,6 +38,7 @@
 
 #include "graph/csr_graph.hpp"
 #include "io/io_error.hpp"
+#include "support/uninit_vector.hpp"
 
 namespace thrifty::io {
 
@@ -101,6 +105,48 @@ struct SnapshotShape {
   std::uint64_t n = 0;
   std::uint64_t m = 0;
 };
+
+/// Layout of a CSR-shaped file: a `header_bytes` header, then n + 1 u64
+/// offsets and m u32 ids, each id below `id_limit`.  A THRFTYG1 snapshot
+/// is one (id_limit = n); a shard's THRFTYS2 cut sidecar is another, whose
+/// ids index the boundary-slot table.
+struct CsrFileShape {
+  std::uint64_t header_bytes = 0;
+  std::uint64_t n = 0;
+  std::uint64_t m = 0;
+  std::uint64_t id_limit = 0;
+  /// Kind of the error for an id at or above id_limit.
+  IoErrorKind out_of_range_kind = IoErrorKind::kInvariantViolation;
+
+  [[nodiscard]] std::uint64_t ids_begin() const {
+    return header_bytes + (n + 1) * sizeof(graph::EdgeOffset);
+  }
+};
+
+/// The two payload arrays of a CSR-shaped file.
+struct CsrArrays {
+  support::UninitVector<graph::EdgeOffset> offsets;
+  support::UninitVector<graph::VertexId> ids;
+};
+
+/// Reads a CSR-shaped regular file.  `parse_header(prefix, total_bytes)`
+/// gets the file's first `header_bytes` bytes (fewer only when the file
+/// is that short) and its size; it throws for a bad header and returns
+/// the shape.  Before anything is allocated the shape is checked against
+/// the file size: n must fit 32-bit ids, the sizes must not overflow 64
+/// bits (kHeaderBounds, at byte 8), and the payload must fill the file
+/// exactly (kTruncated at byte 8, kTrailingGarbage at the first extra
+/// byte).  Both arrays are then filled with pread calls of kSnapshotReadChunkBytes, in
+/// parallel from two chunks on, and each chunk is checked while in
+/// cache: offsets[0] == 0, monotone offsets, offsets[n] == m and every
+/// id < id_limit.  Throws IoError: kOpenFailed, kTruncated when the
+/// file shrinks under the read, kInvariantViolation (out_of_range_kind
+/// for an id) carrying the byte offset of the first violation, or
+/// whatever parse_header throws.
+[[nodiscard]] CsrArrays read_csr_arrays(
+    const std::string& path, std::uint64_t header_bytes,
+    const std::function<CsrFileShape(std::span<const char>, std::uint64_t)>&
+        parse_header);
 
 /// Header parse shared by the three loaders.  `prefix` holds the
 /// snapshot's first bytes: all 24 header bytes, or fewer only when the

@@ -1,17 +1,18 @@
 #include "shard/manifest.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "io/binary_io.hpp"
 #include "io/mmap_io.hpp"
-#include "support/math.hpp"
 
 namespace thrifty::shard {
 
@@ -23,12 +24,11 @@ namespace {
 
 constexpr std::string_view kManifestBanner = "# thrifty shard manifest v1";
 constexpr std::array<char, 8> kCutMagic = {'T', 'H', 'R', 'F',
-                                           'T', 'Y', 'S', '1'};
-constexpr std::uint64_t kCutHeaderBytes = 40;  // magic + 4 u64 counts
-
-// SlotRefs are written to the sidecar as raw bytes.
-static_assert(sizeof(SlotRef) == 8);
-static_assert(std::is_trivially_copyable_v<SlotRef>);
+                                           'T', 'Y', 'S', '2'};
+/// The sidecar format before the cut CSR: (local, slot) pairs.
+constexpr std::array<char, 8> kOldCutMagic = {'T', 'H', 'R', 'F',
+                                              'T', 'Y', 'S', '1'};
+constexpr std::uint64_t kCutHeaderBytes = 32;  // magic + 3 u64 counts
 
 /// graph.shards -> graph.shard<k>.bin / graph.shard<k>.cut
 std::string payload_name(const std::string& manifest_path, int k,
@@ -53,22 +53,6 @@ void write_raw(std::ostream& out, const void* data, std::size_t bytes,
   if (!out) throw IoError(IoErrorKind::kWriteFailed, "sidecar write", path);
 }
 
-void read_raw(std::istream& in, void* data, std::size_t bytes,
-              const std::string& path, std::uint64_t at) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-    throw IoError(IoErrorKind::kTruncated, "unexpected end of sidecar",
-                  path, 0, at + static_cast<std::uint64_t>(in.gcount()));
-  }
-}
-
-std::uint64_t file_size_of(std::istream& in) {
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(0);
-  return static_cast<std::uint64_t>(end);
-}
-
 [[noreturn]] void malformed(const std::string& path, std::uint64_t line,
                             const std::string& what) {
   throw IoError(IoErrorKind::kMalformedLine, what, path, line);
@@ -86,6 +70,57 @@ std::uint64_t header_value(const std::string& text, const char* key,
               std::string("expected '") + key + " <count>'");
   }
   return value;
+}
+
+/// Header check of a THRFTYS2 sidecar against the manifest, before any
+/// allocation.  Returns the cut CSR's shape for io::read_csr_arrays.
+io::CsrFileShape parse_cut_header(std::span<const char> prefix,
+                                  const ShardMeta& meta,
+                                  std::uint32_t num_slots) {
+  const std::string& path = meta.cut_path;
+  if (prefix.size() < kCutMagic.size()) {
+    throw IoError(IoErrorKind::kTruncated, "unexpected end of sidecar",
+                  path, 0, prefix.size());
+  }
+  if (std::memcmp(prefix.data(), kOldCutMagic.data(), kOldCutMagic.size()) ==
+      0) {
+    throw IoError(IoErrorKind::kBadMagic,
+                  "THRFTYS1 sidecar of an older format; re-run "
+                  "graph_convert --shards to rewrite the snapshot",
+                  path, 0, 0);
+  }
+  if (std::memcmp(prefix.data(), kCutMagic.data(), kCutMagic.size()) != 0) {
+    throw IoError(IoErrorKind::kBadMagic, "not a THRFTYS2 sidecar", path, 0,
+                  0);
+  }
+  if (prefix.size() < kCutHeaderBytes) {
+    throw IoError(IoErrorKind::kTruncated, "unexpected end of sidecar",
+                  path, 0, prefix.size());
+  }
+  std::uint64_t n_local = 0;
+  std::uint64_t slots = 0;
+  std::uint64_t pairs = 0;
+  std::memcpy(&n_local, prefix.data() + 8, 8);
+  std::memcpy(&slots, prefix.data() + 16, 8);
+  std::memcpy(&pairs, prefix.data() + 24, 8);
+  if (n_local != meta.num_local() || slots != num_slots) {
+    throw IoError(IoErrorKind::kCountMismatch,
+                  "sidecar header (n_local=" + std::to_string(n_local) +
+                      ", slots=" + std::to_string(slots) +
+                      ") disagrees with manifest (n_local=" +
+                      std::to_string(meta.num_local()) +
+                      ", slots=" + std::to_string(num_slots) + ")",
+                  path, 0, 8);
+  }
+  if (pairs != meta.cut_pair_count) {
+    throw IoError(IoErrorKind::kCountMismatch,
+                  "sidecar declares " + std::to_string(pairs) +
+                      " cut pairs but the manifest " +
+                      std::to_string(meta.cut_pair_count),
+                  path, 0, 24);
+  }
+  return io::CsrFileShape{kCutHeaderBytes, n_local, pairs, num_slots,
+                          IoErrorKind::kIndexOutOfRange};
 }
 
 }  // namespace
@@ -113,124 +148,38 @@ void write_shard_cuts(const std::string& path, const Shard& shard,
   if (!out) {
     throw IoError(IoErrorKind::kOpenFailed, "cannot open for write", path);
   }
-  const std::uint64_t n_local = shard.num_local();
-  const std::uint64_t slots = num_slots;
-  const std::uint64_t publish = shard.publish.size();
-  const std::uint64_t pairs = shard.cut_pairs.size();
+  const std::uint64_t header[3] = {shard.num_local(), num_slots,
+                                   shard.cut_slots.size()};
   write_raw(out, kCutMagic.data(), kCutMagic.size(), path);
-  write_raw(out, &n_local, sizeof n_local, path);
-  write_raw(out, &slots, sizeof slots, path);
-  write_raw(out, &publish, sizeof publish, path);
-  write_raw(out, &pairs, sizeof pairs, path);
-  if (publish > 0) {
-    write_raw(out, shard.publish.data(), publish * sizeof(SlotRef), path);
-  }
-  if (pairs > 0) {
-    write_raw(out, shard.cut_pairs.data(), pairs * sizeof(SlotRef), path);
-  }
+  write_raw(out, header, sizeof header, path);
+  write_raw(out, shard.cut_offsets.data(),
+            shard.cut_offsets.size() * sizeof(graph::EdgeOffset), path);
+  write_raw(out, shard.cut_slots.data(),
+            shard.cut_slots.size() * sizeof(std::uint32_t), path);
 }
 
-ShardCuts read_shard_cuts(const std::string& path, graph::VertexId n_local,
-                          std::uint32_t num_slots) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError(IoErrorKind::kOpenFailed, "cannot open for read", path);
-  }
-  const std::uint64_t total = file_size_of(in);
-
-  std::array<char, 8> magic{};
-  read_raw(in, magic.data(), magic.size(), path, 0);
-  if (magic != kCutMagic) {
-    throw IoError(IoErrorKind::kBadMagic, "not a THRFTYS1 sidecar", path,
-                  0, 0);
-  }
-  std::uint64_t header_local = 0;
-  std::uint64_t header_slots = 0;
-  std::uint64_t publish = 0;
-  std::uint64_t pairs = 0;
-  read_raw(in, &header_local, sizeof header_local, path, 8);
-  read_raw(in, &header_slots, sizeof header_slots, path, 16);
-  read_raw(in, &publish, sizeof publish, path, 24);
-  read_raw(in, &pairs, sizeof pairs, path, 32);
-
-  if (header_local != n_local || header_slots != num_slots) {
+Shard read_shard_cuts(const ShardMeta& meta, std::uint32_t num_slots) {
+  io::CsrArrays cut = io::read_csr_arrays(
+      meta.cut_path, kCutHeaderBytes,
+      [&](std::span<const char> prefix, std::uint64_t /*total_bytes*/) {
+        return parse_cut_header(prefix, meta, num_slots);
+      });
+  Shard shard;
+  shard.begin = meta.begin;
+  shard.end = meta.end;
+  shard.slot_begin = meta.slot_begin;
+  shard.publish = publish_list(cut.offsets);
+  if (shard.publish.size() != meta.boundary_count) {
     throw IoError(IoErrorKind::kCountMismatch,
-                  "sidecar header (n_local=" + std::to_string(header_local) +
-                      ", slots=" + std::to_string(header_slots) +
-                      ") disagrees with manifest (n_local=" +
-                      std::to_string(n_local) +
-                      ", slots=" + std::to_string(num_slots) + ")",
-                  path, 0, 8);
+                  std::to_string(shard.publish.size()) +
+                      " non-empty cut rows but the manifest declares " +
+                      std::to_string(meta.boundary_count) +
+                      " boundary vertices",
+                  meta.cut_path, 0, kCutHeaderBytes);
   }
-  // Size cross-check before any allocation, exactly like the snapshot
-  // loaders: a hostile count cannot trigger an unbounded allocation.
-  const std::optional<std::uint64_t> entries =
-      support::checked_add<std::uint64_t>(publish, pairs);
-  const std::optional<std::uint64_t> payload =
-      entries ? support::checked_mul<std::uint64_t>(*entries,
-                                                    sizeof(SlotRef))
-              : std::nullopt;
-  const std::optional<std::uint64_t> expected =
-      payload ? support::checked_add<std::uint64_t>(kCutHeaderBytes,
-                                                    *payload)
-              : std::nullopt;
-  if (!expected) {
-    throw IoError(IoErrorKind::kHeaderBounds,
-                  "declared sidecar sizes overflow 64 bits", path, 0, 24);
-  }
-  if (*expected > total) {
-    throw IoError(IoErrorKind::kTruncated,
-                  "header declares " + std::to_string(*expected) +
-                      " bytes but file holds " + std::to_string(total),
-                  path, 0, 24);
-  }
-  if (*expected < total) {
-    throw IoError(IoErrorKind::kTrailingGarbage,
-                  std::to_string(total - *expected) +
-                      " byte(s) past the declared payload",
-                  path, 0, *expected);
-  }
-
-  ShardCuts cuts;
-  cuts.publish.resize(static_cast<std::size_t>(publish));
-  cuts.cut_pairs.resize(static_cast<std::size_t>(pairs));
-  if (publish > 0) {
-    read_raw(in, cuts.publish.data(), publish * sizeof(SlotRef), path,
-             kCutHeaderBytes);
-  }
-  if (pairs > 0) {
-    read_raw(in, cuts.cut_pairs.data(), pairs * sizeof(SlotRef), path,
-             kCutHeaderBytes + publish * sizeof(SlotRef));
-  }
-
-  for (std::size_t i = 0; i < cuts.publish.size(); ++i) {
-    const SlotRef& ref = cuts.publish[i];
-    if (ref.local >= n_local || ref.slot >= num_slots) {
-      throw IoError(IoErrorKind::kIndexOutOfRange,
-                    "publish entry " + std::to_string(i) +
-                        " out of bounds (local=" + std::to_string(ref.local) +
-                        ", slot=" + std::to_string(ref.slot) + ")",
-                    path, 0, kCutHeaderBytes + i * sizeof(SlotRef));
-    }
-    if (i > 0 && cuts.publish[i - 1].local >= ref.local) {
-      throw IoError(IoErrorKind::kInvariantViolation,
-                    "publish list not strictly ascending", path, 0,
-                    kCutHeaderBytes + i * sizeof(SlotRef));
-    }
-  }
-  const std::uint64_t pairs_base =
-      kCutHeaderBytes + publish * sizeof(SlotRef);
-  for (std::size_t i = 0; i < cuts.cut_pairs.size(); ++i) {
-    const SlotRef& ref = cuts.cut_pairs[i];
-    if (ref.local >= n_local || ref.slot >= num_slots) {
-      throw IoError(IoErrorKind::kIndexOutOfRange,
-                    "cut pair " + std::to_string(i) +
-                        " out of bounds (local=" + std::to_string(ref.local) +
-                        ", slot=" + std::to_string(ref.slot) + ")",
-                    path, 0, pairs_base + i * sizeof(SlotRef));
-    }
-  }
-  return cuts;
+  shard.cut_offsets = std::move(cut.offsets);
+  shard.cut_slots = std::move(cut.ids);
+  return shard;
 }
 
 void write_sharded_snapshot(const std::string& manifest_path,
@@ -251,7 +200,7 @@ void write_sharded_snapshot(const std::string& manifest_path,
     const std::string cut_name = payload_name(manifest_path, k, ".cut");
     out << "shard " << shard.begin << ' ' << shard.end << ' '
         << shard.local.num_directed_edges() << ' '
-        << shard.cut_pairs.size() << ' ' << shard.publish.size() << ' '
+        << shard.cut_slots.size() << ' ' << shard.publish.size() << ' '
         << csr_name << ' ' << cut_name << '\n';
     io::write_csr_file(resolve(manifest_path, csr_name), shard.local);
     write_shard_cuts(resolve(manifest_path, cut_name), shard,
@@ -365,6 +314,9 @@ ShardManifest read_shard_manifest(const std::string& path) {
     }
     meta.begin = static_cast<graph::VertexId>(begin);
     meta.end = static_cast<graph::VertexId>(end);
+    // Each boundary count is at most its range's size, so the sum so far
+    // is at most begin and fits 32 bits.
+    meta.slot_begin = static_cast<std::uint32_t>(boundary_sum);
     meta.csr_path = resolve(path, csr_name);
     meta.cut_path = resolve(path, cut_name);
     edge_sum += meta.intra_edges + meta.cut_pair_count;
@@ -409,11 +361,9 @@ ShardedGraph load_sharded_graph(const ShardManifest& manifest,
   ShardedGraph sharded;
   sharded.num_vertices = manifest.num_vertices;
   sharded.num_directed_edges = manifest.num_directed_edges;
-  sharded.slot_vertex.assign(manifest.num_slots, manifest.num_vertices);
+  sharded.slot_vertex.resize(manifest.num_slots);
   for (const ShardMeta& meta : manifest.shards) {
-    Shard shard;
-    shard.begin = meta.begin;
-    shard.end = meta.end;
+    Shard shard = read_shard_cuts(meta, manifest.num_slots);
     shard.local = io::read_csr_file_auto(meta.csr_path, use_mmap);
     if (shard.local.num_vertices() != meta.num_local() ||
         shard.local.num_directed_edges() != meta.intra_edges) {
@@ -421,27 +371,14 @@ ShardedGraph load_sharded_graph(const ShardManifest& manifest,
                     "shard snapshot shape disagrees with manifest",
                     meta.csr_path);
     }
-    ShardCuts cuts = read_shard_cuts(meta.cut_path, meta.num_local(),
-                                     manifest.num_slots);
-    if (cuts.publish.size() != meta.boundary_count ||
-        cuts.cut_pairs.size() != meta.cut_pair_count) {
-      throw IoError(IoErrorKind::kCountMismatch,
-                    "sidecar counts disagree with manifest",
-                    meta.cut_path);
+    // The manifest's boundary counts sum to the slot count and each
+    // sidecar has exactly its count of non-empty rows, so the shards'
+    // publish runs tile the slot table.
+    for (std::size_t i = 0; i < shard.publish.size(); ++i) {
+      sharded.slot_vertex[shard.slot_begin + i] =
+          shard.begin + shard.publish[i];
     }
-    for (const SlotRef& ref : cuts.publish) {
-      sharded.slot_vertex[ref.slot] = shard.begin + ref.local;
-    }
-    shard.publish = std::move(cuts.publish);
-    shard.cut_pairs = std::move(cuts.cut_pairs);
     sharded.shards.push_back(std::move(shard));
-  }
-  for (std::size_t slot = 0; slot < sharded.slot_vertex.size(); ++slot) {
-    if (sharded.slot_vertex[slot] >= sharded.num_vertices) {
-      throw IoError(IoErrorKind::kInvariantViolation,
-                    "slot " + std::to_string(slot) +
-                        " never published by any shard");
-    }
   }
   return sharded;
 }

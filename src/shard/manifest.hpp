@@ -6,8 +6,8 @@
 //   graph.shards        text manifest (format below)
 //   graph.shard0.bin    shard 0's intra-CSR, a standard THRFTYG1
 //                       snapshot over shard-local ids
-//   graph.shard0.cut    shard 0's boundary sidecar (THRFTYS1): the
-//                       publish list and the cut-edge pairs
+//   graph.shard0.cut    shard 0's boundary sidecar (THRFTYS2): the
+//                       cut CSR
 //   graph.shard1.bin    ...
 //
 // The manifest is line-oriented text:
@@ -27,12 +27,19 @@
 // kTrailingGarbage, non-contiguous ranges are kInvariantViolation, and
 // sums that disagree with the header (edges, slots) are kCountMismatch.
 //
-// The cut sidecar is binary: an 8-byte magic "THRFTYS1", four u64
-// header fields (local vertex count, global slot count, publish count,
-// cut-pair count), then the publish SlotRefs and the cut-pair SlotRefs
-// as raw (u32 local, u32 slot) pairs.  The file size is cross-checked
-// against the header before any allocation, and every local id / slot
-// is bounds-checked on load (kIndexOutOfRange).
+// The cut sidecar is binary: an 8-byte magic "THRFTYS2", three u64
+// header fields (local vertex count, global slot count, cut-pair
+// count), then the cut CSR: n_local + 1 u64 offsets and one u32 slot per
+// cut pair.  It has no publish section: the publish list is the rows
+// with a non-empty cut row, and their slots run from the shard's
+// slot_begin, the sum of the boundary counts of the shards before it.
+// It is read like a THRFTYG1 snapshot (io::read_csr_arrays: parallel
+// pread chunks checked in cache) with the file size cross-checked
+// against the header before any allocation.  Offsets must start at 0,
+// rise monotonically and end at the pair count (kInvariantViolation),
+// slots must be below the slot count (kIndexOutOfRange), and the number
+// of non-empty rows must equal the manifest's boundary count
+// (kCountMismatch).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +59,9 @@ struct ShardMeta {
   graph::EdgeOffset intra_edges = 0;
   std::uint64_t cut_pair_count = 0;
   std::uint64_t boundary_count = 0;
+  /// First slot of this shard's boundary vertices: the boundary counts
+  /// of the shards before it, summed.
+  std::uint32_t slot_begin = 0;
   std::string csr_path;
   std::string cut_path;
 
@@ -76,12 +86,6 @@ struct ShardManifest {
   [[nodiscard]] std::uint64_t max_shard_csr_bytes() const;
 };
 
-/// Boundary sidecar contents for one shard.
-struct ShardCuts {
-  std::vector<SlotRef> publish;
-  std::vector<SlotRef> cut_pairs;
-};
-
 /// Writes the manifest and every per-shard payload file next to it.
 /// `manifest_path` should carry the `.shards` extension; payload files
 /// derive their names from its stem (see header comment).  Throws
@@ -98,12 +102,13 @@ void write_sharded_snapshot(const std::string& manifest_path,
 void write_shard_cuts(const std::string& path, const Shard& shard,
                       std::uint32_t num_slots);
 
-/// Reads and validates one shard's boundary sidecar.  `n_local` and
-/// `num_slots` come from the manifest; mismatching header fields are
-/// kCountMismatch, out-of-bounds ids are kIndexOutOfRange.
-[[nodiscard]] ShardCuts read_shard_cuts(const std::string& path,
-                                        graph::VertexId n_local,
-                                        std::uint32_t num_slots);
+/// Reads and validates the boundary sidecar at `meta.cut_path` into a
+/// Shard with everything but its intra-CSR: range, publish list,
+/// slot_begin and cut CSR.  Header fields that disagree with `meta` or
+/// `num_slots` are kCountMismatch, so is a non-empty-row count other than
+/// the boundary count; an older THRFTYS1 file is kBadMagic.
+[[nodiscard]] Shard read_shard_cuts(const ShardMeta& meta,
+                                    std::uint32_t num_slots);
 
 /// Rehydrates a full in-memory ShardedGraph from a manifest: loads every
 /// shard's intra-CSR (mmap-backed when `use_mmap`) and sidecar, and

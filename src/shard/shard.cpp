@@ -16,8 +16,18 @@ using graph::VertexId;
 
 std::uint64_t ShardedGraph::total_cut_pairs() const {
   std::uint64_t total = 0;
-  for (const Shard& s : shards) total += s.cut_pairs.size();
+  for (const Shard& s : shards) total += s.cut_slots.size();
   return total;
+}
+
+std::vector<VertexId> publish_list(std::span<const EdgeOffset> cut_offsets) {
+  std::vector<VertexId> publish;
+  for (std::size_t u = 0; u + 1 < cut_offsets.size(); ++u) {
+    if (cut_offsets[u + 1] > cut_offsets[u]) {
+      publish.push_back(static_cast<VertexId>(u));
+    }
+  }
+  return publish;
 }
 
 int ShardedGraph::shard_of(VertexId v) const {
@@ -39,8 +49,8 @@ int ShardedGraph::shard_of(VertexId v) const {
 
 namespace {
 
-/// Builds one shard: the intra-range CSR on local ids, the cut pairs in
-/// CSR order, and the publish list of owned boundary vertices.
+/// Builds one shard: the intra-range CSR on local ids, the cut CSR, and
+/// the publish list of owned boundary vertices.
 Shard build_shard(const CsrGraph& graph, VertexId begin, VertexId end,
                   const std::vector<std::uint32_t>& slot_of) {
   Shard shard;
@@ -71,10 +81,9 @@ Shard build_shard(const CsrGraph& graph, VertexId begin, VertexId end,
       static_cast<std::size_t>(n_local) + 1);
   support::parallel_exclusive_scan(intra_degree.data(),
                                    intra_degree.size(), offsets.data());
-  std::vector<EdgeOffset> cut_offsets(static_cast<std::size_t>(n_local) +
-                                      1);
+  shard.cut_offsets.resize(static_cast<std::size_t>(n_local) + 1);
   support::parallel_exclusive_scan(cut_degree.data(), cut_degree.size(),
-                                   cut_offsets.data());
+                                   shard.cut_offsets.data());
 
   // Pass 2: scatter.  Each owned vertex writes a disjoint slice of both
   // arrays, so no synchronisation is needed; adjacency order is
@@ -82,26 +91,22 @@ Shard build_shard(const CsrGraph& graph, VertexId begin, VertexId end,
   // is order-preserving within the range).
   support::UninitVector<VertexId> neighbors(
       static_cast<std::size_t>(offsets[n_local]));
-  shard.cut_pairs.resize(static_cast<std::size_t>(cut_offsets[n_local]));
+  shard.cut_slots.resize(
+      static_cast<std::size_t>(shard.cut_offsets[n_local]));
   support::parallel_for(n_local, [&](VertexId u) {
     EdgeOffset intra_at = offsets[u];
-    EdgeOffset cut_at = cut_offsets[u];
+    EdgeOffset cut_at = shard.cut_offsets[u];
     for (const VertexId v : graph.neighbors(begin + u)) {
       if (v >= begin && v < end) {
         neighbors[intra_at++] = v - begin;
       } else {
-        shard.cut_pairs[cut_at++] = SlotRef{u, slot_of[v]};
+        shard.cut_slots[cut_at++] = slot_of[v];
       }
     }
   });
   shard.local = CsrGraph(std::move(offsets), std::move(neighbors));
 
-  shard.publish.reserve(64);
-  for (VertexId u = 0; u < n_local; ++u) {
-    if (cut_degree[u] > 0) {
-      shard.publish.push_back(SlotRef{u, slot_of[begin + u]});
-    }
-  }
+  shard.publish = publish_list(shard.cut_offsets);
   return shard;
 }
 
@@ -117,7 +122,7 @@ ShardedGraph partition_shards(const CsrGraph& graph, int num_shards) {
 
   if (n == 0) {
     Shard empty;
-    empty.local = CsrGraph();
+    empty.cut_offsets.assign(1, 0);
     sharded.shards.push_back(std::move(empty));
     return sharded;
   }
@@ -153,9 +158,12 @@ ShardedGraph partition_shards(const CsrGraph& graph, int num_shards) {
   }
 
   sharded.shards.resize(ranges.size());
+  std::uint32_t slot_begin = 0;
   for (std::size_t k = 0; k < ranges.size(); ++k) {
-    sharded.shards[k] =
-        build_shard(graph, ranges[k].begin, ranges[k].end, slot_of);
+    Shard& shard = sharded.shards[k];
+    shard = build_shard(graph, ranges[k].begin, ranges[k].end, slot_of);
+    shard.slot_begin = slot_begin;
+    slot_begin += static_cast<std::uint32_t>(shard.publish.size());
   }
   return sharded;
 }

@@ -8,39 +8,33 @@
 //     in the range, renumbered to shard-local ids, stored as a fully
 //     valid THRFTYG1 CSR so the existing stream/mmap loaders (with all
 //     their validation) load it unchanged;
-//   * its *cut edges* — each directed edge (u, v) with u owned and v
-//     remote becomes a compact (local u, slot(v)) pair, where slot(v)
-//     indexes the global boundary-label table.
+//   * its *cut CSR* — for each owned vertex u, the slots of its remote
+//     neighbours (each directed edge (u, v) with v outside the range),
+//     where slot(v) indexes the global boundary-label table.
 //
 // The boundary-label table has one slot per *boundary vertex* (a vertex
 // with at least one cut edge), assigned in ascending global-id order.
-// The table is the only state that crosses shards during a sharded
-// solve: labels of interior vertices never leave their shard, which is
-// what makes the exchange bandwidth-frugal (Koohi Esfahani et al.'s
-// distributed-CC framing, kept in-process here).
+// Ranges are contiguous, so each shard's boundary vertices own one
+// contiguous run of slots, starting at `slot_begin`: the owned vertex
+// with the i-th non-empty cut row owns slot slot_begin + i.  The table
+// is the only state that crosses shards during a sharded solve: labels
+// of interior vertices never leave their shard, which is what makes the
+// exchange bandwidth-frugal (Koohi Esfahani et al.'s distributed-CC
+// framing, kept in-process here).
 //
 // Persistence (manifest + per-shard files) lives in shard/manifest.hpp;
 // the solver in shard/solver.hpp.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
+#include "support/uninit_vector.hpp"
 
 namespace thrifty::shard {
-
-/// A shard-local vertex paired with a boundary-table slot.  Used both
-/// for cut edges (owned vertex, *remote* neighbour's slot — the merge
-/// direction) and for the publish list (owned boundary vertex, its
-/// *own* slot — the export direction).
-struct SlotRef {
-  graph::VertexId local = 0;
-  std::uint32_t slot = 0;
-
-  friend bool operator==(const SlotRef&, const SlotRef&) = default;
-};
 
 struct Shard {
   /// Owned global vertex range [begin, end).
@@ -49,11 +43,14 @@ struct Shard {
   /// Intra-shard subgraph over local ids 0..end-begin (rows for every
   /// owned vertex, including ones with only cut edges).
   graph::CsrGraph local;
-  /// Owned boundary vertices with their own slots, ascending by id.
-  std::vector<SlotRef> publish;
-  /// Cut edges as (owned local vertex, remote neighbour's slot),
-  /// grouped by local vertex in CSR order.
-  std::vector<SlotRef> cut_pairs;
+  /// Owned boundary vertices as ascending local ids: exactly the rows
+  /// with a non-empty cut row.  publish[i] owns slot slot_begin + i.
+  std::vector<graph::VertexId> publish;
+  std::uint32_t slot_begin = 0;
+  /// Cut CSR over local ids: row u holds the slots of u's remote
+  /// neighbours, in adjacency order.  n_local + 1 offsets.
+  support::UninitVector<graph::EdgeOffset> cut_offsets;
+  support::UninitVector<std::uint32_t> cut_slots;
 
   [[nodiscard]] graph::VertexId num_local() const { return end - begin; }
 };
@@ -63,8 +60,7 @@ struct ShardedGraph {
   /// Directed edge count of the original graph (intra + cut).
   graph::EdgeOffset num_directed_edges = 0;
   /// slot -> global vertex id, ascending (one entry per boundary
-  /// vertex).  The inverse lookup lives implicitly in each shard's
-  /// publish/cut_pairs lists.
+  /// vertex).  The inverse lookup is each shard's publish list.
   std::vector<graph::VertexId> slot_vertex;
   std::vector<Shard> shards;
 
@@ -81,9 +77,14 @@ struct ShardedGraph {
   [[nodiscard]] int shard_of(graph::VertexId v) const;
 };
 
+/// The publish list a cut CSR implies: the local ids of its non-empty
+/// rows, ascending.
+[[nodiscard]] std::vector<graph::VertexId> publish_list(
+    std::span<const graph::EdgeOffset> cut_offsets);
+
 /// Partitions `graph` into `num_shards` contiguous edge-balanced vertex
 /// ranges and materialises every shard's intra-CSR, publish list and
-/// cut pairs.  `num_shards` is clamped to [1, num_vertices] (an empty
+/// cut CSR.  `num_shards` is clamped to [1, num_vertices] (an empty
 /// graph yields one empty shard).  Deterministic; parallel over shards.
 [[nodiscard]] ShardedGraph partition_shards(const graph::CsrGraph& graph,
                                             int num_shards);

@@ -24,10 +24,10 @@ using support::SimdLevel;
 namespace {
 
 /// Access layer the round loop runs against.  `shard(k)` (ranges, cut
-/// pairs, publish list — always cheap, resident for the whole solve)
-/// is deliberately separate from `csr(k)` (may hit disk and charge the
-/// residency budget), so the frontier filter can skip a shard without
-/// any I/O.
+/// CSR, publish list — always cheap, resident for the whole solve) is
+/// deliberately separate from `csr(k)` (may hit disk and charge the
+/// residency budget), so a boundary pull that improves nothing can skip
+/// a shard without any I/O.
 class ShardProvider {
  public:
   virtual ~ShardProvider() = default;
@@ -78,20 +78,7 @@ class StreamingProvider final : public ShardProvider {
         resident_(manifest.shards.size()) {
     skeletons_.reserve(manifest_.shards.size());
     for (const ShardMeta& meta : manifest_.shards) {
-      Shard skeleton;
-      skeleton.begin = meta.begin;
-      skeleton.end = meta.end;
-      ShardCuts cuts = read_shard_cuts(meta.cut_path, meta.num_local(),
-                                       manifest_.num_slots);
-      if (cuts.publish.size() != meta.boundary_count ||
-          cuts.cut_pairs.size() != meta.cut_pair_count) {
-        throw io::IoError(io::IoErrorKind::kCountMismatch,
-                          "sidecar counts disagree with manifest",
-                          meta.cut_path);
-      }
-      skeleton.publish = std::move(cuts.publish);
-      skeleton.cut_pairs = std::move(cuts.cut_pairs);
-      skeletons_.push_back(std::move(skeleton));
+      skeletons_.push_back(read_shard_cuts(meta, manifest_.num_slots));
     }
   }
 
@@ -220,6 +207,53 @@ void local_sweeps(const graph::CsrGraph& local, Label* labels_base,
   }
 }
 
+/// Pulls the boundary table into the owned labels along the shard's cut
+/// CSR: owned[u] = min(owned[u], slot labels of u's cut row), skipping
+/// labels already 0 (Zero Convergence).  Each iteration writes only its
+/// own owned[u] and the table is read-only here, so no atomics are
+/// needed.  Returns whether any owned label dropped.
+bool pull_boundary(const Shard& shard, const Label* slot_labels,
+                   Label* owned, SimdLevel gather) {
+  const VertexId n_local = shard.num_local();
+  const graph::EdgeOffset* offsets = shard.cut_offsets.data();
+  const std::uint32_t* slots = shard.cut_slots.data();
+  bool improved = false;
+#pragma omp parallel for num_threads(support::threads_for( \
+    shard.cut_slots.size())) schedule(dynamic, 1024) reduction(|| : improved)
+  for (VertexId u = 0; u < n_local; ++u) {
+    const Label lv = owned[u];
+    const std::size_t count = offsets[u + 1] - offsets[u];
+    if (lv == 0 || count == 0) continue;
+    const Label best = support::simd::min_gather_u32(
+        slot_labels, slots + offsets[u], count, lv, /*stop_at_zero=*/true,
+        gather);
+    if (best < lv) {
+      owned[u] = best;
+      improved = true;
+    }
+  }
+  return improved;
+}
+
+/// Publishes the shard's boundary labels that dropped below their slot.
+/// Returns the number of slots updated.
+std::uint64_t publish_boundary(const Shard& shard, const Label* owned,
+                               Label* slot_labels) {
+  const std::size_t count = shard.publish.size();
+  Label* own_slots = slot_labels + shard.slot_begin;
+  std::uint64_t updates = 0;
+#pragma omp parallel for num_threads(support::threads_for(count)) \
+    schedule(static) reduction(+ : updates)
+  for (std::size_t i = 0; i < count; ++i) {
+    const Label current = owned[shard.publish[i]];
+    if (current < own_slots[i]) {
+      own_slots[i] = current;
+      ++updates;
+    }
+  }
+  return updates;
+}
+
 ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
                       std::uint32_t num_slots,
                       const ShardedCcOptions& options) {
@@ -227,22 +261,22 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
   result.labels = core::make_label_array(num_vertices);
   const int num_shards = provider.num_shards();
   const SimdLevel simd_level = support::simd::effective_level();
+  const SimdLevel slot_gather =
+      support::simd::gather_level(simd_level, num_slots);
   support::AccumulatingTimer sweep_timer;
   support::AccumulatingTimer exchange_timer;
 
   // One label per boundary vertex.  Every slot is written by its
-  // owner's round-0 publish before any cut pair reads it, so the
+  // owner's round-0 publish before any cut row reads it, so the
   // sentinel is never observed.
   std::vector<Label> slot_labels(
       num_slots, std::numeric_limits<Label>::max());
-  std::vector<std::uint8_t> changed_prev(num_slots, 1);
-  std::vector<std::uint8_t> changed_next(num_slots, 0);
 
   // ---- Round 0: independent local solves --------------------------
   for (int k = 0; k < num_shards; ++k) {
-    provider.prefetch(k + 1);
     const Shard& shard = provider.shard(k);
     const graph::CsrGraph& local = provider.csr(k);
+    provider.prefetch(k + 1);
 
     sweep_timer.start();
     const core::CcResult local_result = core::thrifty_cc(local, options.cc);
@@ -255,66 +289,47 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
     sweep_timer.stop();
 
     exchange_timer.start();
-    for (const SlotRef& ref : shard.publish) {
-      slot_labels[ref.slot] = owned[ref.local];
-    }
+    publish_boundary(shard, owned, slot_labels.data());
     exchange_timer.stop();
   }
   result.stats.rounds = 1;
 
-  // ---- Rounds 1..: merge / sweep / publish until no slot moves ----
+  // ---- Rounds 1..: pull / sweep / publish until no slot moves -----
+  // Each pull reads the slots' current labels, so a slot that an
+  // earlier shard republished this round is seen at once (Gauss–Seidel
+  // across shards).
   bool any_slot_changed = num_slots > 0;
   while (any_slot_changed) {
     any_slot_changed = false;
-    std::fill(changed_next.begin(), changed_next.end(), 0);
     for (int k = 0; k < num_shards; ++k) {
       const Shard& shard = provider.shard(k);
       Label* owned = result.labels.data() + shard.begin;
 
-      // Frontier filter: does any changed slot actually improve an
-      // owned label?  Cut pairs live in RAM, so a negative answer
-      // skips the shard without touching its CSR.
+      // The cut CSR lives in RAM, so a pull that improves nothing skips
+      // the shard without touching its intra-CSR.
       exchange_timer.start();
-      bool improves = false;
-      for (const SlotRef& ref : shard.cut_pairs) {
-        if (changed_prev[ref.slot] != 0 &&
-            slot_labels[ref.slot] < owned[ref.local]) {
-          improves = true;
-          break;
-        }
-      }
-      if (!improves) {
-        exchange_timer.stop();
+      const bool improved =
+          pull_boundary(shard, slot_labels.data(), owned, slot_gather);
+      exchange_timer.stop();
+      if (!improved) {
         ++result.stats.shards_skipped;
         continue;
       }
-      provider.prefetch(k + 1);
-      for (const SlotRef& ref : shard.cut_pairs) {
-        if (changed_prev[ref.slot] != 0 &&
-            slot_labels[ref.slot] < owned[ref.local]) {
-          owned[ref.local] = slot_labels[ref.slot];
-        }
-      }
-      exchange_timer.stop();
 
+      const graph::CsrGraph& local = provider.csr(k);
+      provider.prefetch(k + 1);
       sweep_timer.start();
-      local_sweeps(provider.csr(k), owned, simd_level);
+      local_sweeps(local, owned, simd_level);
       sweep_timer.stop();
 
       exchange_timer.start();
-      for (const SlotRef& ref : shard.publish) {
-        const Label current = owned[ref.local];
-        if (current < slot_labels[ref.slot]) {
-          slot_labels[ref.slot] = current;
-          changed_next[ref.slot] = 1;
-          any_slot_changed = true;
-          ++result.stats.boundary_updates;
-        }
-      }
+      const std::uint64_t updates =
+          publish_boundary(shard, owned, slot_labels.data());
       exchange_timer.stop();
+      result.stats.boundary_updates += updates;
+      any_slot_changed = any_slot_changed || updates > 0;
     }
     ++result.stats.rounds;
-    std::swap(changed_prev, changed_next);
   }
 
   result.stats.sweep_ms = sweep_timer.total_ms();

@@ -12,18 +12,21 @@
 //             vertex publishes that label into its slot of the global
 //             boundary-label table.
 //
-//   Round r   For every shard: min-merge the boundary table into the
-//             owned labels along the shard's cut pairs (frontier
-//             filtered — only slots whose label changed last round are
-//             consulted, and a shard none of whose consulted slots
-//             improve anything is skipped without touching its CSR,
-//             which is what saves I/O in the streaming path); then
-//             in-place Gauss–Seidel pull sweeps (simd::min_gather_u32
-//             over the intra-CSR, same kernel and same relaxed-atomic
-//             label discipline as core/thrifty.cpp) until the shard
-//             reaches a local fixed point; then re-publish improved
-//             boundary labels.  The solve terminates when a round
-//             changes no slot.
+//   Round r   For every shard in turn: pull the boundary table into
+//             the owned labels along the shard's cut CSR (a parallel
+//             pull with simd::min_gather_u32, the kernel of the sweeps
+//             below; owned labels already 0 are skipped, Zero
+//             Convergence).  The pull reads every slot's *current*
+//             label, so a slot an earlier shard republished in this
+//             round is seen at once — a Gauss–Seidel pass across
+//             shards.  A shard whose pull improves nothing is skipped
+//             without touching its CSR, which is what saves I/O in the
+//             streaming path.  Otherwise run in-place Gauss–Seidel pull
+//             sweeps (simd::min_gather_u32 over the intra-CSR, same
+//             kernel and same relaxed-atomic label discipline as
+//             core/thrifty.cpp) until the shard reaches a local fixed
+//             point, then re-publish improved boundary labels.  The
+//             solve terminates when a round changes no slot.
 //
 // Convergence: labels only ever decrease, every label is the id of a
 // vertex in the same component (true initially, preserved by merges
@@ -36,11 +39,11 @@
 // canonical labelling the union-find reference produces.
 //
 // The streaming variant loads shard CSRs through the windowed mmap
-// residency policy: cut sidecars (compact) stay in RAM for the whole
-// solve, CSRs are mapped on demand with MADV_WILLNEED prefetch of the
-// next shard, and before a load that would push the resident window
-// past the memory budget the oldest shards are evicted FIFO —
-// MADV_DONTNEED then munmap — so the window never exceeds it.
+// residency policy: cut CSRs stay in RAM for the whole solve, intra-CSRs
+// are mapped on demand with MADV_WILLNEED prefetch of the next shard
+// once the current one is mapped, and before a load that would push the
+// resident window past the memory budget the oldest shards are evicted
+// FIFO — MADV_DONTNEED then munmap — so the window never exceeds it.
 #pragma once
 
 #include <cstdint>
@@ -74,14 +77,14 @@ struct ShardedCcStats {
   std::uint64_t evictions = 0;
   /// Largest resident shard-CSR window, in bytes.
   std::uint64_t peak_window_bytes = 0;
-  /// Shard visits skipped by the frontier filter without touching the
-  /// shard's CSR.
+  /// Shard visits whose boundary pull improved nothing, skipped without
+  /// touching the shard's CSR.
   std::uint64_t shards_skipped = 0;
   /// Boundary-slot label updates across all rounds.
   std::uint64_t boundary_updates = 0;
   /// Time in shard-local work (round-0 solves + later pull sweeps).
   double sweep_ms = 0.0;
-  /// Time in the boundary exchange (merge + publish + filter checks).
+  /// Time in the boundary exchange (boundary pulls + publishes).
   double exchange_ms = 0.0;
 };
 

@@ -23,10 +23,12 @@
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
+#include "io/binary_io.hpp"
 #include "io/io_error.hpp"
 #include "shard/manifest.hpp"
 #include "shard/shard.hpp"
 #include "shard/solver.hpp"
+#include "support/parallel.hpp"
 #include "testing/oracles.hpp"
 #include "testing/repro.hpp"
 #include "testing/scenario.hpp"
@@ -76,7 +78,7 @@ TEST(ShardPartition, IntraPlusCutEdgesAccountForEveryDirectedEdge) {
     std::uint64_t cut = 0;
     for (const Shard& shard : sharded.shards) {
       intra += shard.local.num_directed_edges();
-      cut += shard.cut_pairs.size();
+      cut += shard.cut_slots.size();
     }
     EXPECT_EQ(intra + cut, g.num_directed_edges()) << "k=" << k;
     EXPECT_EQ(cut, sharded.total_cut_pairs()) << "k=" << k;
@@ -92,23 +94,38 @@ TEST(ShardPartition, SlotTableIsAscendingAndPublishedExactlyOnce) {
                                  sharded.slot_vertex.end()) ==
               sharded.slot_vertex.end());
   std::vector<int> published(sharded.slot_vertex.size(), 0);
+  std::uint32_t next_slot = 0;
   for (const Shard& shard : sharded.shards) {
-    for (const SlotRef& ref : shard.publish) {
-      ASSERT_LT(ref.slot, sharded.num_slots());
-      ASSERT_LT(ref.local, shard.num_local());
-      // The publish entry maps its slot back to the owned global vertex.
-      EXPECT_EQ(sharded.slot_vertex[ref.slot], shard.begin + ref.local);
-      ++published[ref.slot];
+    // Each shard's boundary vertices own the next contiguous slot run.
+    EXPECT_EQ(shard.slot_begin, next_slot);
+    next_slot += static_cast<std::uint32_t>(shard.publish.size());
+    ASSERT_EQ(shard.cut_offsets.size(), shard.num_local() + 1u);
+    ASSERT_EQ(shard.cut_offsets.back(), shard.cut_slots.size());
+    std::size_t i = 0;
+    for (VertexId u = 0; u < shard.num_local(); ++u) {
+      const bool has_cut = shard.cut_offsets[u + 1] > shard.cut_offsets[u];
+      // The publish list is exactly the rows with a non-empty cut row,
+      // and entry i maps slot slot_begin + i back to the owned vertex.
+      if (!has_cut) continue;
+      ASSERT_LT(i, shard.publish.size());
+      EXPECT_EQ(shard.publish[i], u);
+      const std::uint32_t slot =
+          shard.slot_begin + static_cast<std::uint32_t>(i);
+      ASSERT_LT(slot, sharded.num_slots());
+      EXPECT_EQ(sharded.slot_vertex[slot], shard.begin + u);
+      ++published[slot];
+      ++i;
     }
-    for (const SlotRef& ref : shard.cut_pairs) {
-      ASSERT_LT(ref.slot, sharded.num_slots());
-      ASSERT_LT(ref.local, shard.num_local());
-      // A cut pair points at a *remote* slot: the slot's vertex must lie
+    EXPECT_EQ(i, shard.publish.size());
+    for (const std::uint32_t slot : shard.cut_slots) {
+      ASSERT_LT(slot, sharded.num_slots());
+      // A cut row points at *remote* slots: the slot's vertex must lie
       // outside this shard's range.
-      const VertexId remote = sharded.slot_vertex[ref.slot];
+      const VertexId remote = sharded.slot_vertex[slot];
       EXPECT_TRUE(remote < shard.begin || remote >= shard.end);
     }
   }
+  EXPECT_EQ(next_slot, sharded.num_slots());
   for (std::size_t s = 0; s < published.size(); ++s) {
     EXPECT_EQ(published[s], 1) << "slot " << s;
   }
@@ -175,6 +192,12 @@ TEST(ShardedSolve, MatchesReferenceAcrossShardCounts) {
   for (const int k : {1, 2, 3, 7}) {
     expect_matches_reference(g, k);
   }
+  // Cut CSRs of at least support::kSerialCutoff pairs: the boundary pull
+  // runs as a parallel region.
+  const CsrGraph large = small_rmat(13);
+  ASSERT_GE(partition_shards(large, 2).shards[0].cut_slots.size(),
+            support::kSerialCutoff);
+  expect_matches_reference(large, 2);
 }
 
 TEST(ShardedSolve, MatchesReferenceOnEveryScenarioFamily) {
@@ -205,6 +228,32 @@ TEST(ShardedSolve, PathExchangeCountsRoundsAndBoundaryUpdates) {
             (std::vector<Label>{0, 0, 0, 0}));
   EXPECT_EQ(result.stats.rounds, 3);
   EXPECT_EQ(result.stats.boundary_updates, 1u);
+}
+
+// Gauss–Seidel across shards: shards {0,1}, {2,3}, {4,5} and the path
+// 1-0-4-3-5 plus 2-3.  The minimum's label 0 crosses forwards into
+// shard 2 (vertex 4, round 1), backwards into shard 1 (vertex 3, round
+// 2) and forwards again into shard 2 (vertex 5).  The last hop reads
+// vertex 3's slot in the round shard 1 republished it, so round 3
+// moves nothing and ends the solve; a pull that saw only the slots of
+// the round before would need a fifth round for it.
+TEST(ShardedSolve, BoundaryPullSeesSlotsRepublishedThisRound) {
+  graph::EdgeList edges;
+  edges.push_back({0, 1});
+  edges.push_back({0, 4});
+  edges.push_back({2, 3});
+  edges.push_back({3, 4});
+  edges.push_back({3, 5});
+  const CsrGraph g = graph::build_csr(edges, 6).graph;
+  const ShardedGraph sharded = partition_shards(g, 3);
+  ASSERT_EQ(sharded.shards[0].end, 2u);
+  ASSERT_EQ(sharded.shards[1].end, 4u);
+  const ShardedCcResult result = sharded_cc(sharded);
+  const auto labels = result.label_span();
+  EXPECT_EQ(std::vector<Label>(labels.begin(), labels.end()),
+            std::vector<Label>(6, 0));
+  EXPECT_EQ(result.stats.rounds, 4);
+  EXPECT_EQ(result.stats.boundary_updates, 4u);
 }
 
 TEST(ShardedSolve, OracleAcceptsCorrectSolveAndDescribesShards) {
@@ -288,7 +337,9 @@ TEST_F(ShardTempDir, SnapshotRoundTripsExactly) {
     EXPECT_EQ(a.begin, b.begin);
     EXPECT_EQ(a.end, b.end);
     EXPECT_EQ(a.publish, b.publish);
-    EXPECT_EQ(a.cut_pairs, b.cut_pairs);
+    EXPECT_EQ(a.slot_begin, b.slot_begin);
+    EXPECT_EQ(a.cut_offsets, b.cut_offsets);
+    EXPECT_EQ(a.cut_slots, b.cut_slots);
     ASSERT_EQ(a.local.num_vertices(), b.local.num_vertices());
     ASSERT_EQ(a.local.num_directed_edges(), b.local.num_directed_edges());
     EXPECT_TRUE(std::equal(a.local.offsets().begin(),
@@ -369,50 +420,107 @@ TEST_F(ShardTempDir, ManifestCorruptionsRejectWithTypedKinds) {
 }
 
 TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
-  const CsrGraph g = small_rmat();
-  const ShardedGraph sharded = partition_shards(g, 3);
-  write_sharded_snapshot(path("g.shards"), sharded);
+  // Two shards of 300k vertices each with no intra edge: vertex i is
+  // joined to remote vertices kHalf + i and kHalf + (i + 1) % kHalf, so
+  // shard 0's sidecar holds 2.4 MB of offsets and 2.4 MB of slots —
+  // several read chunks of each, above the parallel-read size.
+  constexpr VertexId kHalf = 300000;
+  graph::EdgeList edges;
+  for (VertexId i = 0; i < kHalf; ++i) {
+    edges.push_back({i, kHalf + i});
+    edges.push_back({i, kHalf + (i + 1) % kHalf});
+  }
+  write_sharded_snapshot(
+      path("g.shards"),
+      partition_shards(graph::build_csr(edges, 2 * kHalf).graph, 2));
   const ShardManifest manifest = read_shard_manifest(path("g.shards"));
-  const ShardMeta& meta = manifest.shards[0];
+  ShardMeta meta = manifest.shards[0];
+  ASSERT_EQ(meta.num_local(), kHalf);
+  ASSERT_EQ(meta.cut_pair_count, 2u * kHalf);
   const std::string valid = read_text(meta.cut_path);
+  ASSERT_GT(valid.size(), 2 * io::kSnapshotReadChunkBytes);
+  meta.cut_path = path("bad.cut");
 
-  const auto verdict = [&](const std::string& bytes)
-      -> std::optional<IoErrorKind> {
-    write_text(path("bad.cut"), bytes);
-    try {
-      (void)read_shard_cuts(path("bad.cut"), meta.num_local(),
-                            manifest.num_slots);
-      return std::nullopt;
-    } catch (const IoError& e) {
-      return e.kind();
-    }
+  constexpr std::uint64_t kHeader = 32;
+  const std::uint64_t pairs = meta.cut_pair_count;
+  const std::uint64_t slots_at = kHeader + (kHalf + 1) * 8ull;
+  const std::uint64_t offsets_per_chunk = io::kSnapshotReadChunkBytes / 8;
+  const auto with_u64 = [&](std::uint64_t at, std::uint64_t value) {
+    std::string bytes = valid;
+    std::memcpy(bytes.data() + at, &value, 8);
+    return bytes;
   };
-
+  const auto with_offset_bump = [&](std::uint64_t v) {
+    // offsets[v] above offsets[v + 1] (= 2v + 2): the violation is at v.
+    return with_u64(kHeader + v * 8, 2 * v + 5);
+  };
+  struct Case {
+    const char* name;
+    std::string bytes;
+    IoErrorKind kind;
+    std::uint64_t byte_offset;
+    const char* message = "";  ///< must appear in the error message
+  };
+  std::vector<Case> cases;
   {
     std::string bad_magic = valid;
     bad_magic[0] = 'X';
-    EXPECT_EQ(verdict(bad_magic), IoErrorKind::kBadMagic);
+    cases.push_back({"bad magic", bad_magic, IoErrorKind::kBadMagic, 0});
+    std::string old_format = valid;
+    old_format[7] = '1';
+    cases.push_back({"THRFTYS1 file", old_format, IoErrorKind::kBadMagic, 0,
+                     "graph_convert --shards"});
   }
-  EXPECT_EQ(verdict(valid.substr(0, valid.size() - 3)),
-            IoErrorKind::kTruncated);
-  EXPECT_EQ(verdict(valid + "x"), IoErrorKind::kTrailingGarbage);
+  cases.push_back({"truncated", valid.substr(0, valid.size() - 3),
+                   IoErrorKind::kTruncated, 8});
+  cases.push_back({"trailing garbage", valid + "x",
+                   IoErrorKind::kTrailingGarbage, valid.size()});
+  cases.push_back({"n_local mismatch", with_u64(8, kHalf + 1),
+                   IoErrorKind::kCountMismatch, 8});
+  cases.push_back({"non-monotone offset inside a later chunk",
+                   with_offset_bump(offsets_per_chunk + 17),
+                   IoErrorKind::kInvariantViolation,
+                   kHeader + (offsets_per_chunk + 17) * 8});
+  cases.push_back({"non-monotone offset across a chunk seam",
+                   with_offset_bump(offsets_per_chunk - 1),
+                   IoErrorKind::kInvariantViolation,
+                   kHeader + (offsets_per_chunk - 1) * 8});
+  cases.push_back({"offsets[n_local] != pairs",
+                   with_u64(kHeader + kHalf * 8ull, pairs + 1),
+                   IoErrorKind::kInvariantViolation, kHeader + kHalf * 8ull});
   {
-    // Stamp a wrong local-vertex count into the header: the manifest and
-    // the sidecar must agree.
-    std::string bad_n = valid;
-    const std::uint64_t wrong = meta.num_local() + 1;
-    std::memcpy(bad_n.data() + 8, &wrong, 8);
-    EXPECT_EQ(verdict(bad_n), IoErrorKind::kCountMismatch);
-  }
-  // Stamp an out-of-range slot id into the first publish entry (bytes
-  // 44..47: the slot field after the 40-byte header and the 4-byte
-  // local field).
-  if (meta.boundary_count > 0) {
     std::string bad_slot = valid;
-    const std::uint32_t huge = ~std::uint32_t{0};
-    std::memcpy(bad_slot.data() + 44, &huge, 4);
-    EXPECT_EQ(verdict(bad_slot), IoErrorKind::kIndexOutOfRange);
+    const std::uint32_t slot = manifest.num_slots;
+    std::memcpy(bad_slot.data() + slots_at + (pairs - 1) * 4, &slot, 4);
+    cases.push_back({"slot >= num_slots placed last", bad_slot,
+                     IoErrorKind::kIndexOutOfRange,
+                     slots_at + (pairs - 1) * 4});
   }
+  // offsets[1] = 0 empties row 0 and hands its pairs to row 1: still a
+  // valid CSR, but one non-empty row short of the boundary count.
+  cases.push_back({"non-empty rows != boundary count",
+                   with_u64(kHeader + 8, 0), IoErrorKind::kCountMismatch,
+                   kHeader});
+
+  for (const Case& c : cases) {
+    write_text(meta.cut_path, c.bytes);
+    for (const int threads : {1, 2, 4}) {
+      const support::ThreadCountGuard guard(threads);
+      SCOPED_TRACE(std::string(c.name) + ", t=" + std::to_string(threads));
+      try {
+        (void)read_shard_cuts(meta, manifest.num_slots);
+        ADD_FAILURE() << "accepted";
+      } catch (const IoError& e) {
+        EXPECT_EQ(e.kind(), c.kind);
+        EXPECT_EQ(e.byte_offset(), c.byte_offset);
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos);
+      }
+    }
+  }
+  write_text(meta.cut_path, valid);
+  const Shard shard = read_shard_cuts(meta, manifest.num_slots);
+  EXPECT_EQ(shard.publish.size(), meta.boundary_count);
+  EXPECT_EQ(shard.cut_slots.size(), pairs);
 }
 
 TEST_F(ShardTempDir, MissingPayloadFileIsTypedOpenFailed) {
@@ -472,6 +580,39 @@ TEST_F(ShardTempDir, TightBudgetEvictsAndStillMatchesReference) {
   const ShardedCcResult streamed = sharded_cc(manifest, no_mmap);
   EXPECT_TRUE(core::same_partition(streamed.label_span(), reference));
   EXPECT_GT(streamed.stats.evictions, 0u);
+}
+
+// Four disjoint 50-cliques in four equal shards under a one-shard budget:
+// no cut edge, so the solve is round 0 alone and maps each shard once.
+// The prefetch of shard k + 1 runs only once shard k is mapped, so it
+// never maps a shard that the next load evicts at once.
+TEST_F(ShardTempDir, PrefetchLoadsNothingTheNextLoadEvicts) {
+  constexpr VertexId kClique = 50;
+  constexpr int kShards = 4;
+  graph::EdgeList edges;
+  for (VertexId c = 0; c < kShards; ++c) {
+    for (const graph::Edge& e : gen::clique_edges(kClique)) {
+      edges.push_back({c * kClique + e.u, c * kClique + e.v});
+    }
+  }
+  const ShardedGraph sharded = partition_shards(
+      graph::build_csr(edges, kShards * kClique).graph, kShards);
+  for (int k = 0; k < kShards; ++k) {
+    ASSERT_EQ(sharded.shards[static_cast<std::size_t>(k)].begin,
+              static_cast<VertexId>(k) * kClique);
+  }
+  ASSERT_EQ(sharded.num_slots(), 0u);
+  write_sharded_snapshot(path("g.shards"), sharded);
+  const ShardManifest manifest = read_shard_manifest(path("g.shards"));
+
+  ShardedCcOptions options;
+  options.memory_budget_bytes = manifest.max_shard_csr_bytes();
+  const ShardedCcResult result = sharded_cc(manifest, options);
+  EXPECT_EQ(result.stats.rounds, 1);
+  EXPECT_EQ(result.stats.shard_loads, static_cast<std::uint64_t>(kShards));
+  EXPECT_EQ(result.stats.evictions, static_cast<std::uint64_t>(kShards - 1));
+  EXPECT_EQ(core::count_components(result.label_span()),
+            static_cast<std::uint64_t>(kShards));
 }
 
 // ---------------------------------------------------------------------
