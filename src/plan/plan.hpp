@@ -1,40 +1,18 @@
-// Adaptive execution planning for the connected-components solvers.
+// Adaptive execution planning for the "adaptive" registry entry.
 //
-// The single-shot pipeline has several interchangeable strategies (pull
-// sweeps, frontier push, SIMD pull kernels, an async drain, union-find
-// finishing) that were historically selected by static knobs.  Following
-// Sutton et al.'s adaptive CC engine and ConnectIt's sampling-then-finish
-// decomposition, this subsystem turns the choice into a *per-iteration*
-// decision: a Planner observes the graph's structure (degree skew,
-// density) once and the frontier trajectory every iteration, and emits a
-// PlanStep for the executor (plan/solve.hpp) to run next.
-//
-// Three planner families share one interface:
-//   * AdaptivePlanner — the runtime brain: density-threshold direction
-//     switching, a skew-gated async drain, and a sampled
-//     giant-component cutover to the union-find finish;
-//   * FixedPlanner   — a scripted strategy sequence parsed from a
-//     "fixed:<spec>" string (the adversarial plans of the crosscheck
-//     matrix), its last step repeated forever;
-//   * TracePlanner   — byte-exact replay of a recorded PlanTrace
-//     (plan/trace.hpp).
-//
-// Planners only *advise*: the executor sanitizes every step against its
-// correctness invariants (a push needs a materialised frontier;
-// convergence is only declared at a fixed point), so a mispredicted or
-// adversarial plan degrades performance, never the partition.
+// Following Sutton et al.'s adaptive CC engine and ConnectIt's
+// sampling-then-finish decomposition, the strategy (pull sweeps,
+// frontier push, an async drain, union-find finishing) is a
+// *per-iteration* decision: the AdaptivePlanner observes the graph's
+// structure (degree skew, density) once and the frontier trajectory
+// every iteration, and names the StepKind the executor (plan/solve.hpp)
+// runs next.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "frontier/density.hpp"
 #include "graph/csr_graph.hpp"
-#include "support/simd.hpp"
 
 namespace thrifty::plan {
 
@@ -58,23 +36,12 @@ enum class StepKind {
   kAsync,
 };
 
-[[nodiscard]] const char* to_string(StepKind kind);
-/// Parses "pull" | "pullf" | "push" | "finish" | "async"; nullopt
-/// otherwise.
-[[nodiscard]] std::optional<StepKind> parse_step_kind(std::string_view text);
+/// Sampled giant-component coverage at which the planner cuts over to
+/// the union-find finish.
+inline constexpr double kFinishCutover = 0.75;
 
-/// One iteration's full prescription.
-struct PlanStep {
-  StepKind kind = StepKind::kPull;
-  /// Pull iterations: kernel instruction-set ceiling for the gather-min
-  /// sweep (resolved against host support by the executor).
-  support::SimdLevel simd = support::SimdLevel::kAuto;
-
-  friend bool operator==(const PlanStep&, const PlanStep&) = default;
-};
-
-/// What a planner can see when deciding iteration `iteration`.  All
-/// fields are deterministic functions of (graph, options, previous plan
+/// What the planner can see when deciding iteration `iteration`.  All
+/// fields are deterministic functions of (graph, options, previous
 /// steps) — the executor's Jacobi/captured-label discipline keeps them
 /// independent of thread count and schedule.
 struct Observation {
@@ -117,81 +84,24 @@ struct GraphProfile {
 struct PlanOptions {
   /// Push/pull switch point on frontier density.
   double density_threshold = frontier::kThriftyThreshold;
-  /// Sampled giant coverage that triggers the union-find finish;
-  /// values outside (0, 1] disable the cutover.  The cutover needs at
-  /// least one completed sweep first — the giant estimate is
-  /// meaningless on identity-initialised labels.
-  double finish_cutover = 0.75;
   /// Sampled degree skew at or above which the planner never routes a
   /// mid-density iteration to the async drain.
   double async_max_skew = 8.0;
-  /// Vertices sampled for the profile and the giant estimate.
-  std::uint32_t sample_size = 1024;
-  /// Seed for both sampling streams.
-  std::uint64_t seed = 1;
-  /// Kernel ceiling stamped into every emitted step.
-  support::SimdLevel simd = support::SimdLevel::kAuto;
 };
 
-/// The decision interface.  next() is called once per iteration while
-/// the solve has not converged; implementations must be deterministic in
-/// (construction arguments, observation sequence).
-class Planner {
- public:
-  virtual ~Planner() = default;
-  [[nodiscard]] virtual PlanStep next(const Observation& observation) = 0;
-};
-
-/// The runtime brain: density-threshold direction switching, a
-/// mid-density barrier-free async drain on moderate-skew profiles,
-/// sampled giant-component cutover to the finish.
-class AdaptivePlanner : public Planner {
+/// Density-threshold direction switching, a mid-density barrier-free
+/// async drain on moderate-skew profiles, and a sampled giant-component
+/// cutover to the finish.  next() is called once per iteration while the
+/// solve has not converged and is deterministic in (profile, options,
+/// observation).
+class AdaptivePlanner {
  public:
   AdaptivePlanner(const GraphProfile& profile, const PlanOptions& options);
-  [[nodiscard]] PlanStep next(const Observation& observation) override;
+  [[nodiscard]] StepKind next(const Observation& observation) const;
 
  private:
   GraphProfile profile_;
   PlanOptions options_;
 };
-
-/// Scripted sequence; the last step repeats forever, so every fixed plan
-/// is total (the executor's convergence protocol supplies termination).
-class FixedPlanner : public Planner {
- public:
-  explicit FixedPlanner(std::vector<PlanStep> steps);
-  [[nodiscard]] PlanStep next(const Observation& observation) override;
-
- private:
-  std::vector<PlanStep> steps_;
-  std::size_t cursor_ = 0;
-};
-
-/// How a solve should be planned, parsed from a --plan / THRIFTY_PLAN
-/// value: "auto", "fixed:<spec>", or "replay:<file>".
-///
-/// A fixed spec is a comma-separated list of `<kind>[*<count>]` items
-/// over the kinds pull | pullf | push | finish | async, e.g.
-/// "fixed:push", "fixed:pull*2,finish", "fixed:async".  The final item
-/// repeats until convergence.
-struct PlanSpec {
-  enum class Mode { kAuto, kFixed, kReplay };
-  Mode mode = Mode::kAuto;
-  /// Expanded step sequence (kFixed only).
-  std::vector<PlanStep> fixed_steps;
-  /// Trace file to replay (kReplay only).
-  std::string replay_path;
-  /// The spec text this was parsed from ("auto" for the default), kept
-  /// verbatim so traces and repro files can round-trip it.
-  std::string text = "auto";
-
-  friend bool operator==(const PlanSpec&, const PlanSpec&) = default;
-};
-
-/// Parses a plan spec.  Empty input means "auto" (an unset knob).
-/// Throws std::runtime_error with a usable message on malformed input
-/// (unknown kind, zero/negative repeat, unrecognised prefix); repeat
-/// counts are capped at 2^20 steps, far beyond what any solve consumes.
-[[nodiscard]] PlanSpec parse_plan_spec(const std::string& text);
 
 }  // namespace thrifty::plan

@@ -1,7 +1,6 @@
 #include "plan/solve.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -11,9 +10,11 @@
 #include "cc_baselines/concurrent_hook.hpp"
 #include "core/async_cc.hpp"
 #include "frontier/bitmap.hpp"
+#include "plan/plan.hpp"
+#include "support/assert.hpp"
 #include "support/parallel.hpp"
 #include "support/random.hpp"
-#include "support/run_config.hpp"
+#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::plan {
@@ -28,18 +29,6 @@ using graph::VertexId;
 // Independent seed streams derived from CcOptions::seed.
 constexpr std::uint64_t kProfileSalt = 0x9a11ull;
 constexpr std::uint64_t kGiantSalt = 0x61a7ull;
-
-/// Resolves a step's requested kernel ceiling against host support.
-/// kAuto defers to the configured effective level; an explicit level is
-/// clamped to what the host can run (the concrete enum values are
-/// ordered).  Bit-identity of the kernels means this never affects the
-/// result bytes, only throughput.
-support::SimdLevel resolve_simd(support::SimdLevel requested) {
-  if (requested == support::SimdLevel::kAuto) {
-    return support::simd::effective_level();
-  }
-  return std::min(requested, support::simd::max_supported());
-}
 
 /// Fraction of a seeded vertex sample covered by its most frequent
 /// label — the ConnectIt giant-component estimate, as a fraction rather
@@ -58,50 +47,24 @@ double sampled_giant_fraction(const core::LabelArray& labels, VertexId n,
   return static_cast<double>(best) / static_cast<double>(samples);
 }
 
-/// Replays a recorded trace's *executed* steps verbatim; once the trace
-/// is exhausted (replay against a different graph, or a hand-truncated
-/// file) it degrades to plain pull sweeps, which converge from any
-/// state.
-class TracePlanner : public Planner {
- public:
-  explicit TracePlanner(const PlanTrace& trace) {
-    steps_.reserve(trace.steps.size());
-    for (const TraceStep& s : trace.steps) steps_.push_back(s.step);
-  }
-
-  PlanStep next(const Observation&) override {
-    if (cursor_ < steps_.size()) return steps_[cursor_++];
-    return PlanStep{};  // kPull fallback
-  }
-
- private:
-  std::vector<PlanStep> steps_;
-  std::size_t cursor_ = 0;
-};
-
-/// Per-solve state.  One instance per solve_with_plan call; all methods
+/// Per-solve state.  One instance per solve_adaptive call; all methods
 /// run on the calling thread and open their own parallel regions.
 class Executor {
  public:
-  Executor(const CsrGraph& graph, const core::CcOptions& options,
-           const PlanSpec& spec, double finish_cutover)
+  Executor(const CsrGraph& graph, const core::CcOptions& options)
       : graph_(graph),
         n_(graph.num_vertices()),
         m_(graph.num_directed_edges()),
         options_(options),
-        spec_(spec),
-        finish_cutover_(finish_cutover) {}
+        simd_level_(support::simd::gather_level(
+            support::simd::effective_level(), n_)) {}
 
-  PlanResult run() {
+  core::CcResult run() {
     const support::Timer timer;
-    PlanResult out;
-    out.trace.planner = spec_.text;
-    out.trace.seed = options_.seed;
-    out.trace.num_vertices = n_;
-    out.trace.num_directed_edges = m_;
-    out.result.stats.algorithm = "adaptive";
+    core::CcResult out;
+    out.stats.algorithm = "adaptive";
     if (n_ == 0) {
-      out.result.stats.total_ms = timer.elapsed_ms();
+      out.stats.total_ms = timer.elapsed_ms();
       return out;
     }
 
@@ -110,7 +73,13 @@ class Executor {
     changed_.assign(n_, 0);
     support::parallel_for<VertexId>(n_, [&](VertexId v) { labels_[v] = v; });
 
-    std::unique_ptr<Planner> planner = make_planner();
+    PlanOptions plan_options;
+    plan_options.density_threshold = options_.density_threshold;
+    const AdaptivePlanner planner(
+        GraphProfile::sample(graph_,
+                             support::hash_mix(options_.seed, kProfileSalt),
+                             options_.component_sample_size),
+        plan_options);
 
     Observation obs;
     obs.active_vertices = n_;
@@ -131,33 +100,27 @@ class Executor {
       obs.iteration = static_cast<int>(iter);
       obs.have_frontier = have_frontier_;
       obs.giant_fraction =
-          (sample_giant_ && iter > 0)
+          iter > 0
               ? sampled_giant_fraction(
                     labels_, n_, options_.component_sample_size,
                     support::hash_mix(options_.seed,
                                       kGiantSalt + iter))
               : -1.0;
 
-      const PlanStep requested = planner->next(obs);
-      PlanStep step = requested;
-      // Sanitize: a push without a materialised frontier is not
-      // executable — run the frontier-building pull that makes the next
-      // push legal instead.  This also (re)establishes the invariant
-      // behind empty-frontier convergence: after a full sweep, every
-      // label still able to propagate sits in the frontier.
-      if (step.kind == StepKind::kPush && !have_frontier_) {
-        step.kind = StepKind::kPullFrontier;
-      }
+      const StepKind step = planner.next(obs);
+      // The planner pushes only over a materialised frontier, which
+      // keeps the invariant behind empty-frontier convergence: after a
+      // full sweep, every label still able to propagate is in it.
+      THRIFTY_ASSERT(step != StepKind::kPush || have_frontier_);
 
       std::uint64_t changes = 0;
-      std::uint64_t publishes = 0;
-      switch (step.kind) {
+      switch (step) {
         case StepKind::kPull:
-          changes = jacobi_pull(step, /*materialise_frontier=*/false);
+          changes = jacobi_pull(/*materialise_frontier=*/false);
           converged = changes == 0;
           break;
         case StepKind::kPullFrontier:
-          changes = jacobi_pull(step, /*materialise_frontier=*/true);
+          changes = jacobi_pull(/*materialise_frontier=*/true);
           converged = changes == 0;
           break;
         case StepKind::kPush:
@@ -171,68 +134,31 @@ class Executor {
           converged = true;
           break;
         case StepKind::kAsync:
-          changes = async_drain(publishes);
+          changes = async_drain();
           converged = true;
           break;
       }
 
-      TraceStep record;
-      record.step = step;
-      record.requested = requested.kind;
-      record.active_vertices = active_vertices_;
-      record.active_edges = active_edges_;
-      record.label_changes = changes;
-      record.publishes = publishes;
-      record.density =
-          frontier::frontier_density(active_vertices_, active_edges_, m_);
-      record.giant_fraction = obs.giant_fraction;
-      out.trace.steps.push_back(record);
-
       instrument::IterationRecord iteration;
       iteration.index = static_cast<int>(iter);
-      iteration.direction = direction_of(step.kind);
+      iteration.direction = direction_of(step);
       iteration.density = obs.density;
       iteration.active_vertices = obs.active_vertices;
       iteration.label_changes = changes;
-      out.result.stats.iterations.push_back(iteration);
+      out.stats.iterations.push_back(iteration);
 
       obs.active_vertices = active_vertices_;
       obs.active_edges = active_edges_;
-      obs.density = record.density;
+      obs.density =
+          frontier::frontier_density(active_vertices_, active_edges_, m_);
     }
-    out.result.stats.num_iterations =
-        static_cast<int>(out.trace.steps.size());
-    out.result.labels = std::move(labels_);
-    out.result.stats.total_ms = timer.elapsed_ms();
+    out.stats.num_iterations = static_cast<int>(out.stats.iterations.size());
+    out.labels = std::move(labels_);
+    out.stats.total_ms = timer.elapsed_ms();
     return out;
   }
 
  private:
-  std::unique_ptr<Planner> make_planner() {
-    switch (spec_.mode) {
-      case PlanSpec::Mode::kAuto: {
-        PlanOptions popts;
-        popts.density_threshold = options_.density_threshold;
-        popts.finish_cutover = finish_cutover_;
-        popts.sample_size = options_.component_sample_size;
-        popts.seed = options_.seed;
-        popts.simd = support::run_config().simd;
-        const GraphProfile profile = GraphProfile::sample(
-            graph_, support::hash_mix(options_.seed, kProfileSalt),
-            popts.sample_size);
-        sample_giant_ =
-            popts.finish_cutover > 0.0 && popts.finish_cutover <= 1.0;
-        return std::make_unique<AdaptivePlanner>(profile, popts);
-      }
-      case PlanSpec::Mode::kFixed:
-        return std::make_unique<FixedPlanner>(spec_.fixed_steps);
-      case PlanSpec::Mode::kReplay:
-        return std::make_unique<TracePlanner>(
-            read_trace_file(spec_.replay_path));
-    }
-    throw std::logic_error("unreachable plan mode");
-  }
-
   static instrument::Direction direction_of(StepKind kind) {
     switch (kind) {
       case StepKind::kPull:
@@ -253,16 +179,14 @@ class Executor {
   /// then swap.  Every entry of scratch is (re)written, so staleness
   /// left by in-place push steps cannot leak.  Per-vertex change flags
   /// land in changed_ (owner-written, race-free).
-  std::uint64_t jacobi_pull(const PlanStep& step, bool materialise_frontier) {
-    const support::SimdLevel level =
-        support::simd::gather_level(resolve_simd(step.simd), n_);
+  std::uint64_t jacobi_pull(bool materialise_frontier) {
     const Label* values = labels_.data();
     support::parallel_for_dynamic<VertexId>(n_, [&](VertexId v) {
       const auto nbrs = graph_.neighbors(v);
       const Label before = values[v];
       const Label after = support::simd::min_gather_u32(
           values, nbrs.data(), nbrs.size(), before,
-          /*stop_at_zero=*/true, level);
+          /*stop_at_zero=*/true, simd_level_);
       scratch_[v] = after;
       changed_[v] = after != before ? 1 : 0;
     });
@@ -309,18 +233,15 @@ class Executor {
   }
 
   /// Barrier-free async drain to the global min fixed point (terminal,
-  /// like finish).  The interior is schedule-dependent — the observed
-  /// publish count lands in `publishes` for the trace — but the fixed
+  /// like finish).  The interior is schedule-dependent but the fixed
   /// point is not, so the deterministic label_changes this returns is
   /// the before/after diff against a snapshot, not anything counted
   /// inside the drain.  scratch_ doubles as the snapshot: every other
   /// step kind that touches it rewrites it in full.
-  std::uint64_t async_drain(std::uint64_t& publishes) {
+  std::uint64_t async_drain() {
     core::copy_labels({labels_.data(), labels_.size()},
                       {scratch_.data(), scratch_.size()});
-    const core::AsyncStats stats =
-        core::async_propagate(graph_, labels_.data(), options_);
-    publishes = stats.publishes;
+    (void)core::async_propagate(graph_, labels_.data(), options_);
     support::parallel_for<VertexId>(n_, [&](VertexId v) {
       changed_[v] = labels_[v] != scratch_[v] ? 1 : 0;
     });
@@ -393,8 +314,8 @@ class Executor {
   const VertexId n_;
   const EdgeOffset m_;
   const core::CcOptions& options_;
-  const PlanSpec& spec_;
-  const double finish_cutover_;
+  /// Gather kernel level, resolved once from run_config().simd.
+  const support::SimdLevel simd_level_;
 
   core::LabelArray labels_;
   core::LabelArray scratch_;
@@ -404,27 +325,15 @@ class Executor {
   support::UninitVector<VertexId> frontier_vertices_;
   support::UninitVector<Label> frontier_labels_;
   bool have_frontier_ = false;
-  bool sample_giant_ = false;
   std::uint64_t active_vertices_ = 0;
   std::uint64_t active_edges_ = 0;
 };
 
 }  // namespace
 
-PlanResult solve_with_plan(const CsrGraph& graph,
-                           const core::CcOptions& options,
-                           const PlanSpec& spec) {
-  const double cutover = spec.mode == PlanSpec::Mode::kAuto
-                             ? support::run_config().plan_cutover
-                             : 0.0;
-  Executor executor(graph, options, spec, cutover);
-  return executor.run();
-}
-
 core::CcResult solve_adaptive(const CsrGraph& graph,
                               const core::CcOptions& options) {
-  const PlanSpec spec = parse_plan_spec(support::run_config().plan);
-  return solve_with_plan(graph, options, spec).result;
+  return Executor(graph, options).run();
 }
 
 }  // namespace thrifty::plan

@@ -1,14 +1,14 @@
 // Deterministic plan-driven connected-components executor.
 //
-// solve_with_plan runs label propagation one PlanStep at a time, asking
-// a Planner (plan/plan.hpp) what to do before every iteration and
-// recording each decision into a PlanTrace (plan/trace.hpp).  The
-// executor is built so that the *bytes* of the final label array depend
-// only on (graph, plan):
+// solve_adaptive runs label propagation one step at a time, asking the
+// AdaptivePlanner (plan/plan.hpp) what to do before every iteration and
+// recording each executed step's direction in the result's RunStats.
+// The executor is built so that the *bytes* of the final label array
+// depend only on the graph:
 //
 //   * labels start at identity, so the unique fixed point is the
-//     canonical min-id labelling — every plan that converges produces
-//     the same bytes;
+//     canonical min-id labelling — every step sequence that converges
+//     produces the same bytes;
 //   * pull sweeps are Jacobi (two-array): new[v] = min(old[v],
 //     min old[N(v)]) through the SIMD gather kernel, whose variants are
 //     bit-identical, so neither thread count nor instruction set leaks;
@@ -20,36 +20,18 @@
 //     order;
 //   * the union-find finish converges to the unique min-root forest.
 //
-// Planners only advise.  The executor sanitizes each step (a push with
-// no materialised frontier runs as a frontier-building pull) and owns
-// convergence: a zero-change full sweep or an empty push frontier is a
-// fixed point regardless of what the plan wanted next.  An adversarial
-// plan therefore costs time, never correctness.
+// The executor owns convergence: a zero-change full sweep or an empty
+// push frontier is a fixed point regardless of what the planner would
+// pick next.
 #pragma once
 
 #include "core/cc_common.hpp"
-#include "plan/plan.hpp"
-#include "plan/trace.hpp"
 
 namespace thrifty::plan {
 
-struct PlanResult {
-  core::CcResult result;
-  PlanTrace trace;
-};
-
-/// Runs CC under the given plan spec.  Replay specs load their trace
-/// from spec.replay_path (throwing on a missing/malformed file); a
-/// replayed trace that converges early is simply truncated, and one
-/// that runs out of steps falls back to plain pull sweeps until the
-/// fixed point.
-[[nodiscard]] PlanResult solve_with_plan(const graph::CsrGraph& graph,
-                                         const core::CcOptions& options,
-                                         const PlanSpec& spec);
-
-/// Registry entry point (the "adaptive" algorithm): plan spec and
-/// finish cutover come from run_config().plan / .plan_cutover, the
-/// density threshold, seed and sample size from CcOptions.
+/// Registry entry point (the "adaptive" algorithm): the density
+/// threshold, seed and sample size come from CcOptions, the kernel
+/// ceiling from run_config().simd.
 [[nodiscard]] core::CcResult solve_adaptive(const graph::CsrGraph& graph,
                                             const core::CcOptions& options);
 

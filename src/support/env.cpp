@@ -22,15 +22,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return parsed;
 }
 
-double env_double(const char* name, double fallback) {
-  const auto text = env_string(name);
-  if (!text) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(text->c_str(), &end);
-  if (end == text->c_str() || *end != '\0') return fallback;
-  return parsed;
-}
-
 Scale parse_scale(std::string_view text) {
   if (text == "tiny") return Scale::kTiny;
   if (text == "large") return Scale::kLarge;

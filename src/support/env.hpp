@@ -17,10 +17,6 @@ namespace thrifty::support {
 /// unparsable.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Returns `name` parsed as a double, or `fallback` when unset or
-/// unparsable.
-[[nodiscard]] double env_double(const char* name, double fallback);
-
 /// Dataset scaling selected by THRIFTY_SCALE=tiny|small|large.
 enum class Scale { kTiny, kSmall, kLarge };
 

@@ -32,10 +32,6 @@ RunConfig run_config_from_env() {
                    text->c_str());
     }
   }
-  if (const auto text = env_string("THRIFTY_PLAN")) {
-    config.plan = *text;
-  }
-  config.plan_cutover = env_double("THRIFTY_PLAN_CUTOVER", 0.75);
   return config;
 }
 

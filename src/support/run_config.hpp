@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "support/env.hpp"
 #include "support/simd.hpp"
@@ -39,15 +38,6 @@ struct RunConfig {
   /// the host supports; a forced level above host support falls back
   /// with a warning (simd::effective_level).
   SimdLevel simd = SimdLevel::kAuto;
-  /// Execution-plan spec for the adaptive solver (THRIFTY_PLAN:
-  /// auto | fixed:<spec> | replay:<file>).  Stored as the raw spec text
-  /// — support is the bottom layer and cannot see the plan grammar;
-  /// plan::parse_plan_spec validates at solve start.
-  std::string plan = "auto";
-  /// Sampled giant-component coverage that triggers the adaptive
-  /// solver's union-find finish (THRIFTY_PLAN_CUTOVER); values outside
-  /// (0, 1] disable the cutover.
-  double plan_cutover = 0.75;
 
   friend bool operator==(const RunConfig&, const RunConfig&) = default;
 };

@@ -180,11 +180,6 @@ CrosscheckSummary run_crosscheck(const CrosscheckOptions& options) {
         setup.reorder = options.forced_reorder;
       }
     }
-    if (!options.forced_plan.empty()) {
-      for (RunSetup& setup : setups) {
-        setup.plan = options.forced_plan;
-      }
-    }
     if (options.forced_shards > 0) {
       for (RunSetup& setup : setups) {
         setup.shards = options.forced_shards;

@@ -53,12 +53,6 @@ struct CrosscheckOptions {
   /// kNone leaves the matrix's own reorder points in charge.
   reorder::OrderKind forced_reorder = reorder::OrderKind::kNone;
 
-  /// Force a plan spec onto every setup the sweep runs (the --plan
-  /// smoke leg): the adaptive solver then executes every scenario under
-  /// this plan while the oracles hold it to the union-find reference.
-  /// Empty leaves the matrix's own plan points in charge.
-  std::string forced_plan;
-
   /// Force a shard count onto every setup the sweep runs (the --shards
   /// smoke leg): the sharded oracle then checks every scenario at this
   /// K under every schedule point.  0 leaves the matrix's own shard

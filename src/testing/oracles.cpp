@@ -35,9 +35,6 @@ std::string RunSetup::describe() const {
   if (reorder != reorder::OrderKind::kNone) {
     out << " reorder=" << reorder::to_string(reorder);
   }
-  if (plan != "auto") {
-    out << " plan=" << plan;
-  }
   if (shards != 1) {
     out << " shards=" << shards;
   }
@@ -84,37 +81,6 @@ std::vector<RunSetup> perturbation_matrix() {
     setup = RunSetup{};
     setup.threads = 4;
     setup.reorder = reorder::OrderKind::kRandom;
-    matrix.push_back(setup);
-  }
-  // Plan dimension: adversarial fixed plans the adaptive executor's
-  // sanitizer must turn into correct (if slow) runs — push-only with no
-  // frontier, pull-only on sparse phases, and a premature union-find
-  // finish.  The default points above already cover plan=auto.
-  {
-    RunSetup setup;
-    setup.threads = 4;
-    setup.plan = "fixed:push";
-    matrix.push_back(setup);
-    setup = RunSetup{};
-    setup.threads = 2;
-    setup.plan = "fixed:pull";
-    matrix.push_back(setup);
-    setup = RunSetup{};
-    setup.threads = 4;
-    setup.plan = "fixed:pullf,push,finish";
-    matrix.push_back(setup);
-    // The barrier-free async drain, steal-heavy (4 threads, where the
-    // quiescence protocol has real hand-offs to get wrong) and serial
-    // (degenerate single-worker termination).  Repro files carry the
-    // spec through the existing plan key — older files without it
-    // replay under the "auto" default, never under async.
-    setup = RunSetup{};
-    setup.threads = 4;
-    setup.plan = "fixed:async";
-    matrix.push_back(setup);
-    setup = RunSetup{};
-    setup.threads = 1;
-    setup.plan = "fixed:async";
     matrix.push_back(setup);
   }
   // Shard-count dimension: points with shards > 1 additionally run the
@@ -233,7 +199,6 @@ core::CcResult run_under(const baselines::AlgorithmEntry& entry,
   // the failing run.
   support::RunConfig config = support::run_config();
   config.simd = setup.simd;
-  config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
       setup.threads > 0 ? setup.threads : support::num_threads());
@@ -450,7 +415,6 @@ std::optional<OracleFailure> check_service_ingest(
   // under the perturbed width and kernel level.
   support::RunConfig config = support::run_config();
   config.simd = setup.simd;
-  config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
       setup.threads > 0 ? setup.threads : support::num_threads());

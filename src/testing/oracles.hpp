@@ -7,8 +7,8 @@
 //      values) as the sequential union-find reference;
 //   2. schedule robustness — property 1 must hold at every point of a
 //      perturbation matrix over thread counts and density thresholds,
-//      plus a few points each for SIMD level, vertex order, execution
-//      plan and shard count (RunSetup);
+//      plus a few points each for SIMD level, vertex order and shard
+//      count (RunSetup);
 //   3. permutation invariance — relabelling vertex ids and mapping the
 //      result back must yield the identical partition;
 //   4. edge-addition monotonicity — adding edges may only merge
@@ -54,10 +54,6 @@ struct RunSetup {
   /// labels are mapped back to original ids afterwards, so reordering
   /// must never change the partition.  kNone runs on the graph as-is.
   reorder::OrderKind reorder = reorder::OrderKind::kNone;
-  /// Execution-plan spec for the adaptive solver (plan/plan.hpp):
-  /// "auto", or an adversarial "fixed:<spec>" the sanitizing executor
-  /// must survive.  Only the "adaptive" registry entry reads it.
-  std::string plan = "auto";
   /// Shard count for the sharded-solve oracle (src/shard/): points with
   /// shards > 1 additionally run the sharded solver on a K-way
   /// decomposition and hold its partition to the reference.  1 (the
@@ -68,7 +64,7 @@ struct RunSetup {
 };
 
 /// The full perturbation matrix: threads × threshold, plus a few points
-/// for each other knob (SIMD level, reorder, plan, shard count).
+/// for each other knob (SIMD level, reorder, shard count).
 [[nodiscard]] std::vector<RunSetup> perturbation_matrix();
 
 /// One deterministic sample of the matrix, varying with `seed`.

@@ -43,7 +43,6 @@ void write_repro(std::ostream& out, const Repro& repro) {
   out << "algorithm_seed " << repro.setup.algorithm_seed << "\n";
   out << "simd " << support::to_string(repro.setup.simd) << "\n";
   out << "reorder " << reorder::to_string(repro.setup.reorder) << "\n";
-  out << "plan " << sanitize(repro.setup.plan) << "\n";
   out << "shards " << repro.setup.shards << "\n";
   out << "fault " << to_string(repro.fault) << "\n";
   out << "vertices " << repro.num_vertices << "\n";
@@ -87,10 +86,11 @@ Repro read_repro(std::istream& in) {
     } else if (key == "threads") {
       repro.setup.threads = std::stoi(value);
     } else if (key == "hub_split_degree" || key == "placement" ||
-               key == "numa_steal") {
+               key == "numa_steal" || key == "plan") {
       // Legacy keys: written while hub splitting, the page-placement
-      // policy and the steal scope were run knobs.  None of them affects
-      // a run any more, so they are read and ignored.
+      // policy, the steal scope and the adaptive solver's execution plan
+      // were run knobs.  None of them affects a run any more, so they
+      // are read and ignored.
     } else if (key == "density_threshold") {
       if (value == "default") {
         repro.setup.density_threshold.reset();
@@ -111,11 +111,6 @@ Repro read_repro(std::istream& in) {
       const auto kind = reorder::parse_order_kind(value);
       if (!kind) malformed("unknown reorder '" + value + "'");
       repro.setup.reorder = *kind;
-    } else if (key == "plan") {
-      // Absent in repro files from before the plan dimension existed;
-      // the RunSetup default ("auto") covers those.  Kept as raw text —
-      // replay parses and validates it at solve start.
-      repro.setup.plan = value;
     } else if (key == "shards") {
       // Absent in repro files from before the sharded-solver dimension;
       // the RunSetup default (1, the single-shot path) covers those.
@@ -133,7 +128,7 @@ Repro read_repro(std::istream& in) {
       break;  // edge section follows
     } else {
       // Forward compatibility: a newer writer may emit keys this reader
-      // does not know (the simd/reorder/plan/shards knobs were all
+      // does not know (the simd/reorder/shards knobs were all
       // added after v1).  Skip with a warning rather than hard-failing,
       // so old binaries can still replay new repro files; the known keys
       // above fully determine the run.

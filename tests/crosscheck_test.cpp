@@ -64,9 +64,8 @@ TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
   // the test keeps its name so its history stays traceable.
   const std::vector<RunSetup> matrix = perturbation_matrix();
   // 3 threads x 3 thresholds + 2 forced-scalar kernel points
-  // + 3 vertex-reorder points + 3 adversarial-plan points
-  // + 2 async-plan points + 3 shard-count points.
-  EXPECT_EQ(matrix.size(), 22u);
+  // + 3 vertex-reorder points + 3 shard-count points.
+  EXPECT_EQ(matrix.size(), 17u);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) {
                             return s.density_threshold.has_value();
@@ -82,14 +81,6 @@ TEST(Perturbation, MatrixCoversThreadsHubsThresholds) {
                             return s.reorder != reorder::OrderKind::kNone;
                           }),
             3);
-  EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
-                          [](const RunSetup& s) { return s.plan != "auto"; }),
-            5);
-  EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
-                          [](const RunSetup& s) {
-                            return s.plan == "fixed:async";
-                          }),
-            2);
   EXPECT_EQ(std::count_if(matrix.begin(), matrix.end(),
                           [](const RunSetup& s) { return s.shards > 1; }),
             3);
@@ -341,10 +332,11 @@ TEST(Repro, UnknownKeysAreSkippedNotFatal) {
 
 TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
   // Files written while push iterations still split hubs carry a
-  // hub_split_degree line, and files written while placement and steal
-  // scope were run knobs carry placement and numa_steal lines.  All
-  // three are read and ignored, and the run the file describes replays
-  // without a discrepancy.
+  // hub_split_degree line, files written while placement and steal
+  // scope were run knobs carry placement and numa_steal lines, and
+  // files written while the adaptive solver took an execution plan
+  // carry a plan line.  All four are read and ignored, and the run the
+  // file describes replays without a discrepancy.
   std::istringstream in(
       "# cc_crosscheck repro v1\n"
       "spec hub_star:1\n"
@@ -355,6 +347,7 @@ TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
       "density_threshold default\n"
       "placement os\n"
       "numa_steal global\n"
+      "plan fixed:push\n"
       "fault none\n"
       "vertices 5\n"
       "edges 4\n"
@@ -371,6 +364,7 @@ TEST(Repro, LegacyHubSplitDegreeLineParsesAndReplaysClean) {
   EXPECT_EQ(out.str().find("hub_split"), std::string::npos);
   EXPECT_EQ(out.str().find("placement"), std::string::npos);
   EXPECT_EQ(out.str().find("numa_steal"), std::string::npos);
+  EXPECT_EQ(out.str().find("\nplan "), std::string::npos);
 }
 
 TEST(Repro, RoundTripsForwardAndBackward) {
@@ -423,24 +417,29 @@ TEST(Repro, ReplayRejectsUnknownAlgorithm) {
 }
 
 TEST(Repro, PlanAndStealScopeRoundTripWithLegacyDefaults) {
+  // An adaptive-solver repro round-trips through the writer and reader
+  // with every setup knob intact.
   Repro repro;
   repro.algorithm = "adaptive";
-  repro.setup.plan = "fixed:pullf,push,finish";
+  repro.setup.threads = 4;
+  repro.setup.simd = support::SimdLevel::kScalar;
+  repro.setup.shards = 3;
   repro.num_vertices = 2;
   repro.edges = {{0, 1}};
   std::ostringstream out;
   write_repro(out, repro);
   std::istringstream in(out.str());
   const Repro parsed = read_repro(in);
-  EXPECT_EQ(parsed.setup.plan, repro.setup.plan);
+  EXPECT_EQ(parsed.algorithm, "adaptive");
+  EXPECT_EQ(parsed.setup.describe(), repro.setup.describe());
 
-  // Files from before the plan key existed parse with the RunSetup
-  // default.
+  // Files from before the optional keys existed parse with the RunSetup
+  // defaults.
   std::istringstream legacy(
       "# cc_crosscheck repro v1\nalgorithm thrifty\n"
       "vertices 2\nedges 0\n");
   const Repro old = read_repro(legacy);
-  EXPECT_EQ(old.setup.plan, "auto");
+  EXPECT_EQ(old.setup.describe(), RunSetup{}.describe());
 
   // The steal scope is no longer a run knob: its legacy key is read and
   // ignored whatever its value, so a file carrying one still parses.
@@ -452,34 +451,42 @@ TEST(Repro, PlanAndStealScopeRoundTripWithLegacyDefaults) {
   EXPECT_TRUE(ignored.edges.empty());
 }
 
-// Regression: run_under used to inherit the scheduler/plan knobs from
-// the ambient process config instead of the RunSetup, so a repro file
-// did not pin the full effective configuration — mutating the
-// environment between generating a repro and replaying it changed what
-// the replay ran.
+// Regression: run_under used to inherit knobs from the ambient process
+// config instead of the RunSetup, so a repro file did not pin the full
+// effective configuration — mutating the environment between
+// generating a repro and replaying it changed what the replay ran.
+// The probe entry records the kernel ceiling it sees at solve time.
+support::SimdLevel g_seen_simd = support::SimdLevel::kAuto;
+
+core::CcResult record_simd(const graph::CsrGraph& graph,
+                           const core::CcOptions& options) {
+  g_seen_simd = support::run_config().simd;
+  return baselines::run_algorithm(*baselines::find_algorithm("reference"),
+                                  graph, options);
+}
+
 TEST(RunSetup, SnapshotsFullConfigIgnoringAmbientMutation) {
   const graph::CsrGraph graph = build_scenario_graph(make_hub_star(2));
-  const auto* adaptive = baselines::find_algorithm("adaptive");
-  ASSERT_NE(adaptive, nullptr);
+  const baselines::AlgorithmEntry probe{"probe", "Probe", &record_simd,
+                                        false, 0.0};
   const std::vector<graph::Label> reference = reference_partition(graph);
 
-  // The setup's plan reaches the solver: an unparsable plan spec is
-  // rejected at solve start, proving the knob came from the setup and
-  // not from the (valid) ambient config.
-  RunSetup bad_plan;
-  bad_plan.plan = "fixed:bogus";
-  EXPECT_THROW((void)run_under(*adaptive, graph, bad_plan),
-               std::runtime_error);
-
-  // The converse direction — the actual regression: a hostile ambient
-  // config mutated after the repro was generated must not leak into the
-  // replayed run, because the setup snapshots every knob.
+  // A hostile ambient config mutated after the repro was generated must
+  // not leak into the replayed run, because the setup snapshots every
+  // knob: the solver sees the setup's kernel ceiling, default or forced.
   support::RunConfig hostile = support::run_config();
-  hostile.plan = "fixed:bogus";
+  hostile.simd = support::SimdLevel::kAvx512;
   const support::RunConfigOverride scope(hostile);
   const RunSetup defaults;
-  const core::CcResult result = run_under(*adaptive, graph, defaults);
+  const core::CcResult result = run_under(probe, graph, defaults);
+  EXPECT_EQ(g_seen_simd, support::SimdLevel::kAuto);
   EXPECT_TRUE(core::same_partition(result.label_span(), reference));
+
+  RunSetup scalar;
+  scalar.simd = support::SimdLevel::kScalar;
+  (void)run_under(probe, graph, scalar);
+  EXPECT_EQ(g_seen_simd, support::SimdLevel::kScalar);
+  EXPECT_EQ(support::run_config().simd, support::SimdLevel::kAvx512);
 }
 
 TEST(Fault, ApplyFaultNoOpsWhenNothingToCorrupt) {

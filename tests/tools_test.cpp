@@ -95,6 +95,20 @@ TEST(LoadGraph, LoadsByExtension) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(LoadGraph, ShardManifestIsNamedNotParsedAsEdgeList) {
+  EXPECT_TRUE(is_shard_manifest("out/g.shards"));
+  EXPECT_FALSE(is_shard_manifest("g.shards.bin"));
+  EXPECT_FALSE(is_shard_manifest("gen:rmat:scale=8"));
+  try {
+    (void)load_graph("/nonexistent/g.shards");
+    FAIL() << "a .shards path loaded as a graph";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard manifest"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Summarize, MentionsCounts) {
   const auto g = load_graph("gen:grid:w=4,h=4");
   const std::string s = summarize(g);

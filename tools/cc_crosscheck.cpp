@@ -13,8 +13,7 @@
 //                 [--no-permutation] [--no-monotonicity] [--no-service]
 //                 [--no-sharded] [--max-failures=N] [--inject=split|merge]
 //                 [--inject-into=ALGO] [--list-families]
-//                 [--mmap-roundtrip] [--reorder=ORDER] [--plan=SPEC]
-//                 [--shards=K]
+//                 [--mmap-roundtrip] [--reorder=ORDER] [--shards=K]
 //   cc_crosscheck --replay=FILE       (exit 1 iff the repro reproduces)
 #include <cstdio>
 #include <fstream>
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "plan/plan.hpp"
 #include "testing/crosscheck.hpp"
 #include "tools/tool_common.hpp"
 
@@ -42,7 +40,7 @@ constexpr const char* kUsage =
     "                     [--mmap-roundtrip]\n"
     "                     [--reorder=none|degree|degree-asc|hub-cluster|\n"
     "                                window|bfs|random]\n"
-    "                     [--plan=auto|fixed:<spec>] [--shards=K]\n"
+    "                     [--shards=K]\n"
     "       cc_crosscheck --replay=FILE\n";
 
 std::vector<std::string> read_corpus(const std::string& path) {
@@ -91,7 +89,7 @@ int run(int argc, char** argv) {
       {"scenarios", "seed", "perturb", "corpus", "repro-dir", "no-minimize",
        "no-permutation", "no-monotonicity", "no-service", "no-sharded",
        "max-failures", "inject", "inject-into", "list-families",
-       "mmap-roundtrip", "reorder", "plan", "shards", "replay", "help"});
+       "mmap-roundtrip", "reorder", "shards", "replay", "help"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n%s", unknown.front().c_str(),
                  kUsage);
@@ -141,20 +139,6 @@ int run(int argc, char** argv) {
       return 2;
     }
     options.forced_reorder = *kind;
-  }
-  if (const auto plan_text = args.flag("plan")) {
-    try {
-      const plan::PlanSpec spec = plan::parse_plan_spec(*plan_text);
-      if (spec.mode == plan::PlanSpec::Mode::kReplay) {
-        throw std::runtime_error(
-            "replay plans are per-graph; use auto or fixed:<spec>");
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --plan value '%s': %s\n%s",
-                   plan_text->c_str(), e.what(), kUsage);
-      return 2;
-    }
-    options.forced_plan = *plan_text;
   }
   if (const auto dir = args.flag("repro-dir")) options.repro_dir = *dir;
   if (const auto corpus = args.flag("corpus")) {

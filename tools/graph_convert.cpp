@@ -127,7 +127,7 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "--shards must be a positive shard count\n");
       return 2;
     }
-    if (!ends_with(output, ".shards")) {
+    if (!tools::is_shard_manifest(output)) {
       std::fprintf(stderr,
                    "--shards output must use the .shards extension "
                    "(manifest plus per-shard payload files)\n");
@@ -144,7 +144,7 @@ int run(int argc, char** argv) {
         static_cast<unsigned long long>(sharded.total_cut_pairs()));
     return 0;
   }
-  if (ends_with(output, ".shards")) {
+  if (tools::is_shard_manifest(output)) {
     std::fprintf(stderr, "a .shards output requires --shards=K\n");
     return 2;
   }

@@ -4,13 +4,13 @@
 //
 //   graph_info <graph|gen:spec> [--histogram] [--components] [--memory]
 //              [--mmap]
-//   graph_info <snapshot.shards> --shards
+//   graph_info <snapshot.shards>
 //
 // --memory prints per-array byte sizes, whether the graph owns its
 // memory (vs aliasing a mapping), and the process resident set — with
 // --mmap on a .bin snapshot the RSS line shows the zero-copy win.
-// --shards treats the input as a sharded-snapshot manifest and prints
-// its summary instead: shard ranges, cut-edge counts, the boundary
+// A sharded-snapshot manifest (graph_convert --shards) as the input
+// prints the manifest summary instead: shard ranges, cut-edge counts, the boundary
 // fraction, and the largest per-shard resident footprint.
 #include <algorithm>
 #include <cstdio>
@@ -53,17 +53,17 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: graph_info <graph|gen:spec> [--histogram] "
                  "[--components] [--memory] [--mmap] | "
-                 "graph_info <snapshot.shards> --shards\n");
+                 "graph_info <snapshot.shards>\n");
     return args.has_flag("help") ? 0 : 2;
   }
   const auto unknown =
       args.unknown_flags({"histogram", "components", "memory", "mmap",
-                          "shards", "help"});
+                          "help"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.front().c_str());
     return 2;
   }
-  if (args.has_flag("shards")) {
+  if (tools::is_shard_manifest(args.positional()[0])) {
     return run_shards(args.positional()[0]);
   }
 
@@ -136,7 +136,7 @@ int run(int argc, char** argv) {
   return 0;
 }
 
-/// --shards: manifest summary for a sharded snapshot.
+/// Manifest summary for a sharded snapshot.
 int run_shards(const std::string& path) {
   const shard::ShardManifest manifest = shard::read_shard_manifest(path);
   std::printf("manifest:    %s\n", path.c_str());

@@ -4,8 +4,6 @@
 //              [--out=labels.txt] [--verify] [--stats] [--list] [--mmap]
 //              [--reorder=none|degree|degree-asc|hub-cluster|window|
 //                         bfs|random] [--seed=S]
-//              [--plan=auto|fixed:<spec>|replay:<file>]
-//              [--plan-trace=FILE]
 //              [--shards=K] [--memory-budget=BYTES[k|m|g]]
 //
 // <graph> is a file (.el/.txt edge list, .bin binary CSR, .mtx Matrix
@@ -18,12 +16,8 @@
 // separately from solve time so amortization stays honest; --seed only
 // affects --reorder=random.
 //
-// --plan drives the adaptive execution planner (src/plan/): it implies
-// --algo=adaptive, accepts auto (runtime decisions), fixed:<spec> (a
-// scripted strategy sequence like fixed:pullf,push or fixed:pull*2,
-// finish) or replay:<file> (byte-exact re-execution of a recorded
-// trace).  --plan-trace dumps the decision record of the solve to FILE
-// for diffing and later replay.
+// --stats prints each iteration's direction, active vertices and label
+// changes from the solve's RunStats.
 //
 // --shards=K runs the sharded solver (src/shard/) on an in-memory
 // K-way decomposition of the input.  A <snapshot>.shards manifest as
@@ -31,9 +25,8 @@
 // are windowed through the mmap residency policy, and
 // --memory-budget caps the resident window (accepts k/m/g suffixes;
 // 0 or absent = unlimited).  Every shard's round-0 local solve is
-// Thrifty, so sharded runs reject --algo/--plan/--plan-trace/--reorder
-// (exit 2); --verify needs the whole graph and is only available for
-// the in-memory form.
+// Thrifty, so sharded runs reject --algo/--reorder (exit 2); --verify
+// needs the whole graph and is only available for the in-memory form.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -46,26 +39,17 @@
 #include "cc_baselines/registry.hpp"
 #include "core/verify.hpp"
 #include "instrument/run_stats.hpp"
-#include "plan/solve.hpp"
-#include "plan/trace.hpp"
 #include "reorder/relabel.hpp"
 #include "reorder/reorder.hpp"
 #include "shard/manifest.hpp"
 #include "shard/shard.hpp"
 #include "shard/solver.hpp"
-#include "support/run_config.hpp"
 #include "support/timer.hpp"
 #include "tools/tool_common.hpp"
 
 namespace {
 
 using namespace thrifty;  // NOLINT(google-build-using-namespace)
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(),
-                      suffix) == 0;
-}
 
 /// Parses "1073741824" / "512m" / "2g" into bytes; nullopt on garbage.
 std::optional<std::uint64_t> parse_bytes(const std::string& text) {
@@ -138,7 +122,7 @@ int finish_sharded(const tools::ArgParser& args,
 
 /// --shards=K / .shards-manifest entry point.
 int run_sharded(const tools::ArgParser& args, bool manifest_input) {
-  for (const char* flag : {"algo", "plan", "plan-trace", "reorder"}) {
+  for (const char* flag : {"algo", "reorder"}) {
     if (args.flag(flag)) {
       std::fprintf(stderr, "--%s does not apply to sharded runs\n", flag);
       return 2;
@@ -216,38 +200,19 @@ int run(int argc, char** argv) {
                  "usage: thrifty_cc <graph|gen:spec> [--algo=thrifty] "
                  "[--threshold=T] [--trials=N] [--out=FILE] [--verify] "
                  "[--stats] [--list] [--mmap] "
-                 "[--reorder=ORDER] [--seed=S] "
-                 "[--plan=auto|fixed:<spec>|replay:<file>] "
-                 "[--plan-trace=FILE] [--shards=K] "
+                 "[--reorder=ORDER] [--seed=S] [--shards=K] "
                  "[--memory-budget=BYTES]\n");
     return args.has_flag("help") ? 0 : 2;
   }
   const auto unknown = args.unknown_flags(
       {"algo", "threshold", "trials", "out", "verify", "stats", "list",
-       "help", "mmap", "reorder", "seed", "plan",
-       "plan-trace", "shards", "memory-budget"});
+       "help", "mmap", "reorder", "seed", "shards", "memory-budget"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.front().c_str());
     return 2;
   }
 
-  support::RunConfig config = support::run_config();
-  // --plan drives the adaptive planner end to end: validate the spec up
-  // front, install it into the config (the registry entry reads it from
-  // there), and default the algorithm to "adaptive".
-  std::optional<plan::PlanSpec> plan_spec;
-  if (const auto text = args.flag("plan")) {
-    try {
-      plan_spec = plan::parse_plan_spec(*text);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --plan value: %s\n", e.what());
-      return 2;
-    }
-    config.plan = *text;
-  }
-  const support::RunConfigOverride config_scope(config);
-
-  const bool manifest_input = ends_with(args.positional()[0], ".shards");
+  const bool manifest_input = tools::is_shard_manifest(args.positional()[0]);
   if (manifest_input || args.flag("shards") ||
       args.flag("memory-budget")) {
     return run_sharded(args, manifest_input);
@@ -260,19 +225,11 @@ int run(int argc, char** argv) {
   std::fprintf(stderr, "loaded: %s%s\n", tools::summarize(g).c_str(),
                g.owns_memory() ? "" : " [mmap]");
 
-  const auto trace_path = args.flag("plan-trace");
-  const std::string algo_name = args.flag("algo").value_or(
-      plan_spec || trace_path ? "adaptive" : "thrifty");
+  const std::string algo_name = args.flag("algo").value_or("thrifty");
   const auto* entry = baselines::find_algorithm(algo_name);
   if (entry == nullptr) {
     std::fprintf(stderr, "unknown algorithm '%s' (try --list)\n",
                  algo_name.c_str());
-    return 2;
-  }
-  const bool is_adaptive = entry->name == "adaptive";
-  if ((plan_spec || trace_path) && !is_adaptive) {
-    std::fprintf(stderr,
-                 "--plan/--plan-trace only apply to --algo=adaptive\n");
     return 2;
   }
 
@@ -311,14 +268,7 @@ int run(int argc, char** argv) {
   core::CcOptions options;
   options.instrument = args.has_flag("stats");
   const double threshold = args.flag_double("threshold", -1.0);
-  plan::PlanSpec spec;
-  if (is_adaptive) {
-    // --plan if given, otherwise whatever THRIFTY_PLAN configured.
-    spec = plan_spec ? *plan_spec
-                     : plan::parse_plan_spec(support::run_config().plan);
-  }
   core::CcResult result;
-  plan::PlanTrace trace;
   const auto trials =
       std::max<std::int64_t>(1, args.flag_int("trials", 1));
   for (std::int64_t t = 0; t < trials; ++t) {
@@ -330,17 +280,7 @@ int run(int argc, char** argv) {
       }
       return baselines::effective_options(*entry, options);
     }();
-    core::CcResult run_result;
-    if (is_adaptive) {
-      // Direct executor call so the decision trace is available; the
-      // labels are identical to the registry path's.
-      plan::PlanResult planned =
-          plan::solve_with_plan(solve_graph, trial_options, spec);
-      run_result = std::move(planned.result);
-      trace = std::move(planned.trace);
-    } else {
-      run_result = entry->function(solve_graph, trial_options);
-    }
+    core::CcResult run_result = entry->function(solve_graph, trial_options);
     if (t == 0 ||
         run_result.stats.total_ms < result.stats.total_ms) {
       result = std::move(run_result);
@@ -367,24 +307,6 @@ int run(int argc, char** argv) {
         "not counted in solve time)\n",
         reorder::to_string(order_kind), order_ms, apply_ms, map_back_ms);
   }
-  if (is_adaptive) {
-    bool any_sanitized = false;
-    std::printf("plan: %s (%zu steps:", spec.text.c_str(),
-                trace.steps.size());
-    for (const plan::TraceStep& step : trace.steps) {
-      const bool sanitized = step.requested != step.step.kind;
-      any_sanitized = any_sanitized || sanitized;
-      std::printf(" %s%s", plan::to_string(step.step.kind),
-                  sanitized ? "*" : "");
-    }
-    std::printf(")%s\n", any_sanitized ? "  [* = sanitized request]" : "");
-    if (trace_path) {
-      plan::write_trace_file(*trace_path, trace);
-      std::fprintf(stderr, "plan trace written to %s\n",
-                   trace_path->c_str());
-    }
-  }
-
   if (args.has_flag("stats")) {
     std::printf("iterations: %d\n", result.stats.num_iterations);
     for (const auto& it : result.stats.iterations) {

@@ -160,10 +160,20 @@ bool ends_with(const std::string& text, const std::string& suffix) {
 
 }  // namespace
 
+bool is_shard_manifest(const std::string& path) {
+  return ends_with(path, ".shards");
+}
+
 graph::CsrGraph load_graph(const std::string& source,
                            const LoadOptions& options) {
   if (source.rfind("gen:", 0) == 0) {
     return build_from_generator(source.substr(4));
+  }
+  if (is_shard_manifest(source)) {
+    throw std::runtime_error(
+        "'" + source +
+        "' is a shard manifest, not a single graph (thrifty_cc and "
+        "graph_info read it as is)");
   }
   if (ends_with(source, ".bin")) {
     return io::read_csr_file_auto(source, options.use_mmap);

@@ -46,6 +46,10 @@ struct LoadOptions {
   bool use_mmap = false;
 };
 
+/// Whether `path` names a sharded-snapshot manifest (the .shards file
+/// graph_convert --shards writes) rather than a single graph.
+[[nodiscard]] bool is_shard_manifest(const std::string& path);
+
 /// Loads a graph from a path (.el/.txt edge list, .bin binary CSR,
 /// .mtx Matrix Market) or builds one from a generator spec of the form
 ///   gen:rmat:scale=14,ef=16[,seed=3]
@@ -53,7 +57,8 @@ struct LoadOptions {
 ///   gen:grid:w=512,h=512
 ///   gen:er:n=65536,m=1048576
 ///   gen:dataset:<name>        (the Table II stand-ins, THRIFTY_SCALE)
-/// Throws std::runtime_error with a usable message on failure.
+/// Throws std::runtime_error with a usable message on failure, including
+/// for a shard manifest, which is not one graph.
 [[nodiscard]] graph::CsrGraph load_graph(const std::string& source,
                                          const LoadOptions& options = {});
 
