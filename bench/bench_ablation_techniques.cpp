@@ -5,7 +5,9 @@
 //   * Zero Convergence off (vertices holding 0 are still processed),
 //   * Initial Push off (eager DO-LP-style bootstrap),
 //   * Zero Planting degraded (zero on a random vertex / on vertex 0
-//     instead of the maximum-degree hub).
+//     instead of the maximum-degree hub),
+//   * the pointer jump off (this repository's addition to the paper's
+//     pulls; without it the loop is the paper's exact Algorithm 2).
 // Each row reports time, iteration count, and edges processed, so the
 // contribution of every technique called out in DESIGN.md is measurable
 // in isolation.
@@ -54,6 +56,7 @@ int run() {
        {.plant_site = core::PlantSite::kFirstVertex,
         .initial_push = true,
         .zero_convergence = true}},
+      {"-jump", {.pointer_jump = false}},
   };
 
   for (const char* metric : {"time (ms)", "edges processed %", "iterations"}) {

@@ -13,10 +13,20 @@
 //   4. Initial Push (§IV-D) — iteration 0 pushes the zero label from the
 //      planted hub to its neighbours only, instead of a full pull pass.
 //
-// Implementation details follow §IV-E: 1% push/pull threshold, count-only
-// pull frontiers with a detailed Pull-Frontier iteration just before
-// switching to push, and per-thread push worklists with non-atomic
-// byte-array duplicate suppression and work stealing.
+// Implementation details follow §IV-E: 1% push/pull threshold, a
+// detailed Pull-Frontier built by every pull until its change list turns
+// dense (so a sparse result goes straight to push), and per-thread push
+// worklists with non-atomic byte-array duplicate suppression and work
+// stealing.
+//
+// On top of the paper's four techniques, this repository adds one
+// pointer jump per pull vertex (the shortcut step of log-step label
+// propagation and of Afforest): after Zero Planting a label x > 0 names
+// vertex x - 1, which lies in the same component and holds a label
+// <= x, so a pull also takes that vertex's label.  The fixed point is
+// unchanged, and label 0 never jumps.  It lets the minimum cross a
+// high-diameter graph in a few sweeps; `ThriftyVariant::pointer_jump`
+// switches it off to run the paper's exact loop (Table V).
 //
 // The iteration loop exists once.  `thrifty_cc_variant` plants, runs the
 // optional Initial Push and enters it; `thrifty_propagate` enters it from
@@ -48,6 +58,9 @@ struct ThriftyVariant {
   bool initial_push = true;
   /// Off: no converged-vertex skipping and no early scan exit.
   bool zero_convergence = true;
+  /// Off: pulls take the neighbour minimum only, the paper's exact loop
+  /// (this repository's addition, not a §IV technique).
+  bool pointer_jump = true;
 
   [[nodiscard]] std::string describe() const;
 };
@@ -64,6 +77,8 @@ struct ThriftyVariant {
 /// Pull-Frontier and worklist pushes.  Every vertex ends at the minimum
 /// initial label of its component; label 0, if present, is the bottom
 /// Zero Convergence keys on.
+/// Caller labels need not name vertices of their own component, so this
+/// loop never pointer-jumps.
 /// `options.instrument` is honoured as in `thrifty_cc_variant`.
 [[nodiscard]] CcResult thrifty_propagate(const graph::CsrGraph& graph,
                                          const CcOptions& options,

@@ -176,12 +176,14 @@ class LocalWorklists {
     return std::atomic_ref<std::uint8_t>(marks_[v]);
   }
 
-  /// Padded per-thread mass slots: pushes bank (vertices, edges) totals
-  /// without sharing cache lines between inserting threads.
+  /// Padded per-thread lists and mass slots: every push writes its
+  /// thread's list end pointer and mass totals, and unpadded neighbours
+  /// shared a cache line between inserting threads.
+  struct alignas(64) ThreadList : std::vector<graph::VertexId> {};
   struct alignas(64) ThreadMass : Mass {};
 
   Marks marks_;
-  std::vector<std::vector<graph::VertexId>> lists_;
+  std::vector<ThreadList> lists_;
   std::vector<ThreadMass> mass_;
 };
 

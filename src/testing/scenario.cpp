@@ -225,6 +225,24 @@ Scenario make_two_clique_bridge(std::uint64_t seed) {
                 std::move(edges));
 }
 
+Scenario make_cut_grid(std::uint64_t seed) {
+  Xoshiro256StarStar rng = scenario_rng(seed ^ 0xc7961dull);
+  gen::GridParams params;
+  params.width = static_cast<VertexId>(64 + rng.next_below(193));
+  params.height = static_cast<VertexId>(64 + rng.next_below(193));
+  params.removal_fraction =
+      0.02 + 0.13 * static_cast<double>(rng.next_below(1001)) / 1000.0;
+  params.seed = rng.next();
+  EdgeList edges = gen::grid_edges(params);
+  const VertexId n = params.width * params.height;
+  std::string name = "cut_grid";
+  if (rng.next_below(2) == 0) {
+    gen::permute_vertex_ids(edges, n, rng.next());
+    name += "+permute";
+  }
+  return finish("cut_grid", seed, std::move(name), n, std::move(edges));
+}
+
 Scenario make_random(std::uint64_t seed) {
   Xoshiro256StarStar rng = scenario_rng(seed);
   const std::uint64_t num_parts = 1 + rng.next_below(3);
@@ -256,7 +274,7 @@ Scenario make_random(std::uint64_t seed) {
 
 std::vector<std::string> scenario_families() {
   return {"hub_star", "all_satellites", "permuted_rmat",
-          "two_clique_bridge", "random"};
+          "two_clique_bridge", "cut_grid", "random"};
 }
 
 Scenario scenario_from_spec(const std::string& spec) {
@@ -271,6 +289,7 @@ Scenario scenario_from_spec(const std::string& spec) {
   if (family == "all_satellites") return make_all_satellites(seed);
   if (family == "permuted_rmat") return make_permuted_rmat(seed);
   if (family == "two_clique_bridge") return make_two_clique_bridge(seed);
+  if (family == "cut_grid") return make_cut_grid(seed);
   if (family == "random") return make_random(seed);
   throw std::runtime_error("scenario spec '" + spec + "': unknown family '" +
                            family + "'");

@@ -6,7 +6,8 @@
 // union, satellite attacher, vertex-id permutation).  The named families
 // pin shapes that historically shake out concurrency bugs in CC codes
 // (a single dominant hub, thousands of tiny components, permuted ids, a
-// thin bridge between dense cores); the `random` family samples free
+// thin bridge between dense cores, a high-diameter grid cut into many
+// components); the `random` family samples free
 // compositions of every generator in the library.
 #pragma once
 
@@ -45,6 +46,12 @@ struct Scenario {
 /// Two cliques joined by a thin path bridge: dense cores whose labels
 /// must cross a low-bandwidth cut to agree.
 [[nodiscard]] Scenario make_two_clique_bridge(std::uint64_t seed);
+
+/// A 64-256 per side grid with 2-15 % of its edges removed, so it splits
+/// into many components, its ids permuted with probability 1/2: high
+/// diameter, where a pull that pointer-jumps into another component
+/// would show.
+[[nodiscard]] Scenario make_cut_grid(std::uint64_t seed);
 
 /// Free composition: 1-3 parts drawn from every generator family,
 /// disjoint-unioned, with optional satellites and id permutation.

@@ -12,6 +12,7 @@
 #include "core/dolp.hpp"
 #include "core/thrifty.hpp"
 #include "core/verify.hpp"
+#include "frontier/density.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "gen/combine.hpp"
 #include "gen/grid.hpp"
@@ -20,7 +21,11 @@
 #include "graph/builder.hpp"
 #include "instrument/run_stats.hpp"
 #include "partition/edge_partitioner.hpp"
+#include "shard/shard.hpp"
+#include "shard/solver.hpp"
 #include "support/parallel.hpp"
+#include "testing/oracles.hpp"
+#include "testing/scenario.hpp"
 
 namespace thrifty::core {
 namespace {
@@ -311,6 +316,33 @@ TEST(ThriftyPropagate, ConvergesToPerComponentMinimumOfInitialLabels) {
   EXPECT_GT(traced.stats.events.skipped_converged, 0u);
 }
 
+// Caller labels need not follow the v + 1 rule, so thrifty_propagate
+// must never pointer-jump.  Path 0-1-2 and edge 3-4, caller labels
+// {4, 6, 7 | 1, 2}: vertex 0's label 4 names vertex 3, which lies in the
+// other component and holds 1.  A jump would hand 0 that label and merge
+// the two components.
+TEST(ThriftyPropagate, NeverJumpsAcrossComponents) {
+  const CsrGraph g =
+      graph::build_csr(graph::EdgeList{{0, 1}, {1, 2}, {3, 4}}, 5).graph;
+  const std::vector<Label> values{4, 6, 7, 1, 2};
+  const LabelArray initial(values.begin(), values.end());
+  for (const int threads : {1, 2, 4}) {
+    support::ThreadCountGuard guard(threads);
+    for (const bool instrument : {false, true}) {
+      CcOptions options;
+      options.instrument = instrument;
+      const CcResult result = thrifty_propagate(g, options, initial);
+      EXPECT_TRUE(same_partition(result.label_span(),
+                                 testing::reference_partition(g)))
+          << "threads=" << threads << " instrument=" << instrument;
+      EXPECT_EQ(std::vector<Label>(result.labels.begin(),
+                                   result.labels.end()),
+                (std::vector<Label>{4, 4, 4, 1, 1}))
+          << "threads=" << threads << " instrument=" << instrument;
+    }
+  }
+}
+
 // Hub-shaped graphs at 1, 2 and 4 threads: push iterations consume the
 // frontier through the paper's per-thread worklists with work stealing,
 // so the thread count changes only which thread visits which vertex.
@@ -366,9 +398,9 @@ TEST(ThriftyStar, DisconnectedHubsStayInTheirComponents) {
 }
 
 // High-diameter input.  The Initial Push leaves at most 4 active vertices,
-// so the forced first full pull runs as a Pull-Frontier that changes
-// nearly every label.  It must stop enqueueing once the frontier is no
-// longer sparse (§IV-E): the next iteration is a pull either way.
+// so the forced first full pull changes nearly every label.  Every pull
+// records its changes, and each must stop enqueueing once its frontier
+// is no longer sparse (§IV-E): the next iteration is a pull either way.
 TEST(ThriftyGrid, DensePullFrontierStopsEnqueueingAtThreshold) {
   const CsrGraph g = road_like_grid();
   const CcOptions options = instrumented();
@@ -389,11 +421,15 @@ TEST(ThriftyGrid, DensePullFrontierStopsEnqueueingAtThreshold) {
                     static_cast<std::size_t>(threads))) {
       largest_partition = std::max(largest_partition, range.size());
     }
-    const double bound =
+    const double bound_per_pull =
         options.density_threshold *
             static_cast<double>(g.num_directed_edges()) +
         static_cast<double>(threads) * static_cast<double>(largest_partition);
-    EXPECT_LE(static_cast<double>(result.stats.events.frontier_pushes), bound)
+    const auto dense_pulls = std::count_if(
+        result.stats.iterations.begin(), result.stats.iterations.end(),
+        [](const auto& it) { return it.direction == Direction::kPull; });
+    EXPECT_LE(static_cast<double>(result.stats.events.frontier_pushes),
+              static_cast<double>(dense_pulls) * bound_per_pull)
         << "threads=" << threads;
     const std::vector<Label> canonical =
         canonical_labels(result.label_span());
@@ -419,6 +455,143 @@ TEST(ThriftyGrid, FourThreadsAtMostDoubleSerialIterations) {
   ASSERT_TRUE(verify_labels(g, parallel.label_span()).valid);
   EXPECT_LE(parallel.stats.num_iterations, 2 * serial_iterations)
       << "serial " << serial_iterations;
+}
+
+// Every pull records its changes, so once the first full pull is done a
+// sparse frontier is always complete and runs as push: no iteration whose
+// density is below the threshold is a pull.
+TEST(ThriftyScheduling, SparseFrontierAfterFirstFullPullRunsAsPush) {
+  const std::vector<std::pair<const char*, CsrGraph>> graphs{
+      {"skewed", skewed_graph()}, {"grid", road_like_grid()}};
+  for (const auto& [name, g] : graphs) {
+    for (const int threads : {1, 2, 4}) {
+      support::ThreadCountGuard guard(threads);
+      for (const bool instrument : {false, true}) {
+        CcOptions options;
+        options.instrument = instrument;
+        const CcResult result = thrifty_cc(g, options);
+        ASSERT_TRUE(verify_labels(g, result.label_span()).valid);
+        bool full_pull_done = false;
+        for (const auto& it : result.stats.iterations) {
+          if (full_pull_done &&
+              frontier::is_sparse(it.density, options.density_threshold)) {
+            EXPECT_EQ(it.direction, Direction::kPush)
+                << name << " threads=" << threads << " iteration "
+                << it.index << " density " << it.density;
+          }
+          full_pull_done |= it.direction == Direction::kPull ||
+                            it.direction == Direction::kPullFrontier;
+        }
+      }
+    }
+  }
+}
+
+// Path 4-0-2-6-1-5-3 at 1 thread.  The plant site is vertex 0 (degree 2,
+// lowest id) and the Initial Push gives 0 to vertices 4 and 2.  In the
+// second pull vertex 3's only neighbour, 5, still holds label 2; label 2
+// names vertex 1, which took 0 earlier in the same sweep, so the jump
+// hands 3 the 0 one pull before the paper-exact loop has it.
+TEST(ThriftyJump, SavesOnePullOnAHandBuiltPath) {
+  const CsrGraph g =
+      graph::build_csr(
+          graph::EdgeList{{4, 0}, {0, 2}, {2, 6}, {6, 1}, {1, 5}, {5, 3}}, 7)
+          .graph;
+  support::ThreadCountGuard guard(1);
+  for (const bool instrument : {false, true}) {
+    CcOptions options;
+    options.instrument = instrument;
+    const CcResult jump = thrifty_cc(g, options);
+    const CcResult exact =
+        thrifty_cc_variant(g, options, {.pointer_jump = false});
+    EXPECT_EQ(jump.stats.num_iterations, 4) << "instrument=" << instrument;
+    EXPECT_EQ(exact.stats.num_iterations, 5) << "instrument=" << instrument;
+    EXPECT_EQ(std::vector<Label>(jump.labels.begin(), jump.labels.end()),
+              std::vector<Label>(7, 0));
+    EXPECT_EQ(std::vector<Label>(exact.labels.begin(), exact.labels.end()),
+              std::vector<Label>(7, 0));
+  }
+}
+
+/// Labels of the paper-exact loop at 1 thread; every other thread count
+/// and the default (jumping) loop must reproduce them byte for byte.  The
+/// thread count is the outer loop, so the team is resized three times.
+void expect_labels_identical_with_and_without_jump(
+    const std::vector<std::pair<std::string, const CsrGraph*>>& graphs) {
+  std::vector<std::vector<Label>> expected;
+  {
+    support::ThreadCountGuard guard(1);
+    for (const auto& [name, g] : graphs) {
+      const CcResult exact =
+          thrifty_cc_variant(*g, {}, {.pointer_jump = false});
+      EXPECT_TRUE(verify_labels(*g, exact.label_span()).valid) << name;
+      expected.emplace_back(exact.labels.begin(), exact.labels.end());
+    }
+  }
+  for (const int threads : {1, 2, 4}) {
+    support::ThreadCountGuard guard(threads);
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      for (const bool jump : {false, true}) {
+        const CcResult result =
+            thrifty_cc_variant(*graphs[i].second, {}, {.pointer_jump = jump});
+        EXPECT_TRUE(std::equal(result.labels.begin(), result.labels.end(),
+                               expected[i].begin(), expected[i].end()))
+            << graphs[i].first << " threads=" << threads << " jump=" << jump;
+      }
+    }
+  }
+}
+
+TEST(ThriftyJump, LabelsIdenticalWithAndWithoutJumpAcrossThreadCounts) {
+  const CsrGraph grid = road_like_grid();
+  const CsrGraph rmat16 = skewed_graph(16, 8);
+  // A cut grid, an R-MAT, a path and a star, 500 isolated vertices, and
+  // every id permuted.
+  gen::GridParams cut;
+  cut.width = 96;
+  cut.height = 80;
+  cut.removal_fraction = 0.1;
+  gen::RmatParams rmat;
+  rmat.scale = 10;
+  rmat.edge_factor = 4;
+  const std::vector<graph::EdgeList> parts{
+      gen::grid_edges(cut), gen::rmat_edges(rmat), gen::path_edges(700),
+      gen::star_edges(300)};
+  const std::vector<VertexId> sizes{96 * 80, 1u << 10, 700, 300};
+  graph::EdgeList edges = gen::disjoint_union(parts, sizes);
+  const VertexId n = 96 * 80 + (1u << 10) + 700 + 300 + 500;
+  gen::permute_vertex_ids(edges, n, 11);
+  graph::BuildOptions keep_ids;
+  keep_ids.remove_zero_degree_vertices = false;
+  const CsrGraph mixed = graph::build_csr(edges, n, keep_ids).graph;
+  ASSERT_EQ(mixed.num_vertices(), n);
+  expect_labels_identical_with_and_without_jump(
+      {{"grid", &grid}, {"rmat16", &rmat16}, {"disjoint union", &mixed}});
+}
+
+// Round 0 of a sharded solve runs Thrifty on each shard's intra-shard CSR
+// over local ids, so the jump must stay inside the shard.  The cut grid's
+// ids are permuted, so every shard holds many small components.
+TEST(ThriftyJump, ShardLocalSolvesStayInsideTheirShard) {
+  const CsrGraph g =
+      testing::build_scenario_graph(testing::make_cut_grid(9));
+  const std::vector<Label> reference = testing::reference_partition(g);
+  std::vector<std::pair<std::string, const CsrGraph*>> shards;
+  std::vector<shard::ShardedGraph> sharded;
+  for (const int k : {2, 3, 7}) {
+    sharded.push_back(shard::partition_shards(g, k));
+    EXPECT_TRUE(same_partition(
+        shard::sharded_cc(sharded.back()).label_span(), reference))
+        << "k=" << k;
+  }
+  for (const shard::ShardedGraph& s : sharded) {
+    for (std::size_t i = 0; i < s.shards.size(); ++i) {
+      shards.emplace_back("k=" + std::to_string(s.num_shards()) +
+                              " shard " + std::to_string(i),
+                          &s.shards[i].local);
+    }
+  }
+  expect_labels_identical_with_and_without_jump(shards);
 }
 
 }  // namespace

@@ -80,6 +80,31 @@ TEST(ThriftyVariants, DescribeNamesAreDistinct) {
   EXPECT_EQ(ThriftyVariant{}.describe(), "thrifty");
 }
 
+// The paper-exact loop (no pointer jump) is its own named variant and,
+// combined with every other toggle, lands on the same labels.
+TEST(ThriftyVariants, NoJumpVariantsAreNamedAndAgree) {
+  EXPECT_EQ(ThriftyVariant{.pointer_jump = false}.describe(),
+            "thrifty-nojump");
+  const CsrGraph g = skewed_graph(11, 6);
+  const auto reference = thrifty_cc(g);
+  for (ThriftyVariant v : all_variants()) {
+    v.pointer_jump = false;
+    const auto result = thrifty_cc_variant(g, {}, v);
+    EXPECT_EQ(result.stats.algorithm, v.describe());
+    EXPECT_NE(v.describe().find("-nojump"), std::string::npos);
+    if (v.plant_site == PlantSite::kMaxDegree) {
+      EXPECT_TRUE(std::equal(result.labels.begin(), result.labels.end(),
+                             reference.labels.begin(),
+                             reference.labels.end()))
+          << v.describe();
+    } else {
+      EXPECT_EQ(canonical_labels(result.label_span()),
+                canonical_labels(reference.label_span()))
+          << v.describe();
+    }
+  }
+}
+
 TEST(ThriftyVariants, NoInitialPushStartsWithPull) {
   CcOptions options;
   options.instrument = true;
