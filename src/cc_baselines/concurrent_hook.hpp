@@ -1,8 +1,9 @@
 // Shared concurrent min-hooking primitives for the union-find-based
 // algorithms (Afforest, the sampled hybrid) and the incremental ingest
 // path of the serving layer: lock-free linking with on-the-fly
-// compression, pointer-jumping compression passes, and
-// most-frequent-component sampling.
+// compression, pointer-jumping compression passes, grandparent-sweep
+// flattening (the Shiloach–Vishkin shortcut) and most-frequent-component
+// sampling.
 //
 // Memory-ordering contract (audited for the concurrent-ingest path of
 // src/serve/, where reader threads coexist with hooking writers):
@@ -35,6 +36,7 @@
 #include <unordered_map>
 
 #include "core/cc_common.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 namespace thrifty::baselines::hook {
@@ -71,6 +73,66 @@ inline void compress(core::LabelArray& comp, graph::VertexId n) {
     }
     core::store_label(comp[v], c);
   }
+}
+
+/// One grandparent sweep over comp[begin, end); returns whether any
+/// entry changed.  Entries are read-then-written per element, so a sweep
+/// may observe updates made earlier in the same sweep — harmless,
+/// because flattening loops to the (order-independent) pointer-jump
+/// fixed point.
+inline bool shortcut_sweep(graph::Label* comp, std::size_t begin,
+                           std::size_t end) {
+  bool changed = false;
+  for (std::size_t v = begin; v < end; ++v) {
+    const graph::Label p = core::load_label(comp[v]);
+    const graph::Label g = core::load_label(comp[p]);
+    if (g < p) {
+      core::store_label(comp[v], g);
+      changed = true;
+    }
+  }
+  return changed;
+}
+
+/// Pointer-jumps comp[begin, end) to its fixed point: sweeps
+/// comp[v] = comp[comp[v]] where the grandparent is smaller, until the
+/// range is stable, i.e. every entry in the range points at a root.
+/// Parents may lie outside the range — reads cover the whole array —
+/// which is what lets flatten() run one slice per thread.  Returns true
+/// when any entry changed, which is exactly "some entry was not already
+/// pointing at a root".  Chains must end at a self-loop root, as in
+/// every union-find forest.
+inline bool flatten_slice(graph::Label* comp, std::size_t begin,
+                          std::size_t end) {
+  bool any = false;
+  while (shortcut_sweep(comp, begin, end)) any = true;
+  return any;
+}
+
+/// Flattens the whole forest comp[0, n) to a set of stars.  Each thread
+/// flattens a contiguous slice to its local fixed point; a barrier round
+/// in which no slice changed proves the global fixed point (a
+/// neighbouring slice can lower a parent after this slice's own sweep
+/// stabilises, so one round is not enough).  Returns whether any entry
+/// moved, i.e. the forest was not already a set of stars — a property
+/// of the input, independent of the thread count.  SV and FastSV
+/// shortcut with this rather than compress(): on a road graph FastSV
+/// measured faster with grandparent sweeps than with compress()'s
+/// per-vertex root chase (EXPERIMENTS.md, "One vector kernel").
+inline bool flatten(core::LabelArray& comp, graph::VertexId n) {
+  bool any = false;
+  std::atomic<bool> again{true};
+  while (again.load(std::memory_order_relaxed)) {
+    again.store(false, std::memory_order_relaxed);
+    support::parallel_region([&](int t, int threads) {
+      const auto [begin, end] = support::thread_slice(n, t, threads);
+      if (flatten_slice(comp.data(), begin, end)) {
+        again.store(true, std::memory_order_relaxed);
+      }
+    });
+    any = any || again.load(std::memory_order_relaxed);
+  }
+  return any;
 }
 
 /// Most frequent component id among a random vertex sample — almost

@@ -2,8 +2,7 @@
 
 #include <atomic>
 
-#include "support/parallel.hpp"
-#include "support/simd.hpp"
+#include "cc_baselines/concurrent_hook.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::baselines {
@@ -32,30 +31,6 @@ core::CcResult fastsv_cc(const graph::CsrGraph& graph,
     return core::load_label(f[core::load_label(f[v])]);
   };
 
-  // Flattens the whole parent forest through the grandparent-shortcut
-  // kernel.  Each thread sweeps a contiguous slice to its local fixed
-  // point; a barrier round in which no slice changed proves the global
-  // fixed point (a neighbouring slice can lower a parent after this
-  // slice's own sweep stabilises, so one pass is not enough).  Returns
-  // whether any entry moved, i.e. the forest was not already a set of
-  // stars — a property of the input state, independent of the thread
-  // count.
-  auto flatten_forest = [&]() {
-    bool any = false;
-    std::atomic<bool> again{true};
-    while (again.load(std::memory_order_relaxed)) {
-      again.store(false, std::memory_order_relaxed);
-      support::parallel_region([&](int t, int threads) {
-        const auto [begin, end] = support::thread_slice(n, t, threads);
-        if (support::simd::flatten_u32(f.data(), begin, end)) {
-          again.store(true, std::memory_order_relaxed);
-        }
-      });
-      any = any || again.load(std::memory_order_relaxed);
-    }
-    return any;
-  };
-
   int iterations = 0;
   bool change = true;
   while (change) {
@@ -77,18 +52,19 @@ core::CcResult fastsv_cc(const graph::CsrGraph& graph,
       }
     }
     // Shortcutting: flatten to a set of stars in one go rather than a
-    // single grandparent hop per round — fewer rounds, and the dense
-    // sweep runs on the vectorized kernel.
-    if (flatten_forest()) {
+    // single grandparent hop per round, which takes fewer rounds.  A
+    // flatten that moves an entry counts as a change: the forest was not
+    // yet a set of stars.
+    if (hook::flatten(f, n)) {
       changed.store(true, std::memory_order_relaxed);
     }
     change = changed.load();
   }
 
   // Final flatten: after convergence the forest is already a set of
-  // stars (the last round's flatten_forest() reported no change), but
-  // re-running it keeps the postcondition independent of scheduling.
-  flatten_forest();
+  // stars (the last round's flatten reported no change), but re-running
+  // it keeps the postcondition independent of scheduling.
+  hook::flatten(f, n);
 
   result.stats.total_ms = timer.elapsed_ms();
   result.stats.num_iterations = iterations;

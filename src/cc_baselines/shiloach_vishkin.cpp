@@ -2,9 +2,8 @@
 
 #include <atomic>
 
+#include "cc_baselines/concurrent_hook.hpp"
 #include "instrument/run_stats.hpp"
-#include "support/parallel.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::baselines {
@@ -49,20 +48,8 @@ core::CcResult shiloach_vishkin_cc(const graph::CsrGraph& graph,
       }
     }
     // Shortcut: grandparent-jump sweeps until every vertex points at a
-    // root.  Each thread flattens a contiguous slice to its local fixed
-    // point; the outer loop repeats until a barrier round in which no
-    // slice changed, which proves the global fixed point (a neighbouring
-    // slice can lower a parent after this slice's own sweep stabilises).
-    std::atomic<bool> flattening{true};
-    while (flattening.load(std::memory_order_relaxed)) {
-      flattening.store(false, std::memory_order_relaxed);
-      support::parallel_region([&](int t, int threads) {
-        const auto [begin, end] = support::thread_slice(n, t, threads);
-        if (support::simd::flatten_u32(comp.data(), begin, end)) {
-          flattening.store(true, std::memory_order_relaxed);
-        }
-      });
-    }
+    // root (hook::flatten).
+    hook::flatten(comp, n);
     change = hooked.load();
   }
 

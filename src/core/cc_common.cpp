@@ -7,7 +7,6 @@
 
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
-#include "support/simd.hpp"
 
 namespace thrifty::core {
 
@@ -15,26 +14,23 @@ using graph::Label;
 
 void copy_labels(std::span<const Label> src, std::span<Label> dst) {
   THRIFTY_EXPECTS(src.size() == dst.size());
-  const auto level = support::simd::effective_level();
   support::parallel_region([&](int t, int threads) {
     const auto [begin, end] = support::thread_slice(src.size(), t, threads);
-    support::simd::copy_u32(dst.data() + begin, src.data() + begin,
-                            end - begin, level);
+    std::copy(src.begin() + begin, src.begin() + end, dst.begin() + begin);
   });
 }
 
 std::uint64_t count_equal_labels(std::span<const Label> a,
                                  std::span<const Label> b) {
   THRIFTY_EXPECTS(a.size() == b.size());
-  const auto level = support::simd::effective_level();
   std::uint64_t total = 0;
 #pragma omp parallel reduction(+ : total)
   {
     const auto [begin, end] = support::thread_slice(
         a.size(), support::thread_id(), omp_get_num_threads());
-    total += support::simd::count_equal_u32(a.data() + begin,
-                                            b.data() + begin, end - begin,
-                                            level);
+    for (std::size_t i = begin; i < end; ++i) {
+      total += a[i] == b[i] ? 1 : 0;
+    }
   }
   return total;
 }

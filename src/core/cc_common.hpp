@@ -87,14 +87,13 @@ inline void store_label(graph::Label& slot, graph::Label value) {
                                             std::memory_order_relaxed);
 }
 
-/// Parallel label-array copy (the DO-LP synchronisation sweep), routed
-/// through the SIMD kernel layer.  `src` and `dst` must not overlap.
+/// Parallel label-array copy (the DO-LP synchronisation sweep): one
+/// std::copy per thread slice.  `src` and `dst` must not overlap.
 void copy_labels(std::span<const graph::Label> src,
                  std::span<graph::Label> dst);
 
 /// Parallel count of positions where the two labellings agree — the
 /// convergence sweep behind the instrumented per-iteration curves.
-/// Routed through the SIMD kernel layer; bit-identical at every level.
 [[nodiscard]] std::uint64_t count_equal_labels(
     std::span<const graph::Label> a, std::span<const graph::Label> b);
 

@@ -14,7 +14,7 @@ namespace thrifty::core::detail {
 
 /// Number of vertices whose current label already equals its final label.
 /// Used only in instrumented runs to fill IterationRecord::converged_
-/// vertices (Figures 3, 7, 8).  The sweep runs on the SIMD kernel layer.
+/// vertices (Figures 3, 7, 8).
 [[nodiscard]] inline std::uint64_t count_converged(
     std::span<const graph::Label> current,
     std::span<const graph::Label> final_labels) {

@@ -1,51 +1,42 @@
 #include "frontier/bitmap.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "support/parallel.hpp"
-#include "support/simd.hpp"
 
 namespace thrifty::frontier {
 
-namespace {
-
-// The SIMD kernels operate on plain uint64_t words.  Reinterpreting the
-// atomic word array is safe only if the atomic wrapper adds no padding
-// and needs no lock; both hold on every platform we target, and the
-// scalar kernel variants still access the words through relaxed
-// std::atomic_ref, matching the bitmap's own memory ordering.
-static_assert(sizeof(std::atomic<std::uint64_t>) == sizeof(std::uint64_t));
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-
-}  // namespace
-
 void Bitmap::clear() {
-  auto* words = reinterpret_cast<std::uint64_t*>(words_.data());
-  const auto level = support::simd::effective_level();
+  const auto zero = [this](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      words_[i].store(0, std::memory_order_relaxed);
+    }
+  };
   // Serial below ~2 MiB: the parallel-region overhead beats any
   // placement or bandwidth win on small frontiers, which clear every
   // iteration.
   constexpr std::size_t kParallelWords = std::size_t{1} << 18;
   if (words_.size() < kParallelWords) {
-    support::simd::fill_zero_u64(words, words_.size(), level);
+    zero(0, words_.size());
     return;
   }
   support::parallel_region([&](int t, int threads) {
     const auto [begin, end] =
         support::thread_slice(words_.size(), t, threads);
-    support::simd::fill_zero_u64(words + begin, end - begin, level);
+    zero(begin, end);
   });
 }
 
 std::uint64_t Bitmap::count() const {
-  const auto* words = reinterpret_cast<const std::uint64_t*>(words_.data());
-  const auto level = support::simd::effective_level();
   std::uint64_t total = 0;
 #pragma omp parallel reduction(+ : total)
   {
     const auto [begin, end] = support::thread_slice(
         words_.size(), support::thread_id(), omp_get_num_threads());
-    total += support::simd::popcount_u64(words + begin, end - begin, level);
+    for (std::size_t i = begin; i < end; ++i) {
+      total += static_cast<std::uint64_t>(
+          std::popcount(words_[i].load(std::memory_order_relaxed)));
+    }
   }
   return total;
 }

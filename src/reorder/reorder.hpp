@@ -5,7 +5,7 @@
 // renumbering a skewed-degree graph is exactly a structure-aware initial
 // label assignment.  Denser neighbour-id locality additionally means
 // fewer cache misses per pull-sweep gather, which compounds with the
-// SIMD min-gather kernels (support/simd.hpp).
+// SIMD min-gather kernel (support/simd.hpp).
 //
 // Three families of orders, all OpenMP-parallel and deterministic in the
 // graph (independent of thread count):

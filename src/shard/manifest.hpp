@@ -113,8 +113,8 @@ void write_shard_cuts(const std::string& path, const Shard& shard,
 /// Rehydrates a full in-memory ShardedGraph from a manifest: loads every
 /// shard's intra-CSR (mmap-backed when `use_mmap`) and sidecar, and
 /// reconstructs the slot table from the publish lists.  The streaming
-/// solver does NOT use this — it windows shards through ShardSource —
-/// but tests and graph_info do.
+/// solver does NOT use this — it windows shards through its
+/// StreamingProvider — but tests and graph_info do.
 [[nodiscard]] ShardedGraph load_sharded_graph(const ShardManifest& manifest,
                                               bool use_mmap = true);
 

@@ -107,8 +107,8 @@ void parallel_exclusive_scan(const Value* values, std::size_t n, Sum* out) {
 
 /// Contiguous static split of [0, n) across `threads` workers: the slice
 /// `[first, second)` owned by thread `t`.  Used to hand each thread one
-/// dense range for the SIMD kernel layer (support/simd.hpp), where a
-/// per-element worksharing loop would defeat vectorization.
+/// dense range inside a parallel region (label copies, bitmap sweeps,
+/// per-thread flattening).
 [[nodiscard]] inline std::pair<std::size_t, std::size_t> thread_slice(
     std::size_t n, int t, int threads) {
   const std::size_t per = (n + static_cast<std::size_t>(threads) - 1) /

@@ -33,7 +33,7 @@ struct RunConfig {
   /// Inert: nearest-first is the only steal order, so nothing reads
   /// this field and nothing sets it.  Printed by perfbench only.
   StealScope numa_steal = StealScope::kLocal;
-  /// Requested kernel instruction-set ceiling (THRIFTY_SIMD:
+  /// Requested gather-kernel instruction-set ceiling (THRIFTY_SIMD:
   /// auto | scalar | avx2 | avx512).  kAuto resolves to the best level
   /// the host supports; a forced level above host support falls back
   /// with a warning (simd::effective_level).

@@ -1,12 +1,12 @@
-// Vectorized kernel layer for the dense label-propagation hot loops.
+// The pull's gather kernel: min(init, labels[adjacency slice]).
 //
-// Thrifty's measured hot path (§IV, Table IV) is dominated by dense
-// per-edge sweeps — gather the neighbour's label, take the minimum,
-// conditionally update — plus the convergence/copy/popcount sweeps
-// around them.  Written as plain loops, they are scalar and leave the
-// vector units idle.  This header exposes each
-// sweep as a kernel with scalar / AVX2 / AVX-512 variants selected at
-// runtime:
+// Thrifty's cost is the per-edge gather of its pull iterations (§IV,
+// Table IV): read each neighbour's label, keep the minimum.  Written as
+// a plain loop it is scalar, because the compiler cannot vectorize an
+// indexed load.  min_gather_u32 has scalar, AVX2 and AVX-512 variants
+// selected at runtime; it is the only vector code in the tree.  The
+// dense sweeps around it (label copies, convergence counts, bitmap
+// clears and counts) are plain loops the compiler handles itself.
 //
 //   * the instruction-set probe runs once per process (CPUID via
 //     __builtin_cpu_supports, cached in max_supported());
@@ -14,16 +14,14 @@
 //     (THRIFTY_SIMD=auto|scalar|avx2|avx512); effective_level() clamps
 //     it to what the host actually supports, warning once on a forced
 //     level the host lacks;
-//   * hot loops resolve the level once per algorithm invocation and
-//     pass it into the kernels, so dispatch cost never lands on the
+//   * pull loops resolve the level once per algorithm invocation and
+//     pass it into the kernel, so dispatch cost never lands on the
 //     per-edge path.
 //
-// Bit-identity contract: for any input, every variant of a kernel
-// returns exactly the bytes the scalar variant returns.  Each kernel
-// computes an order-independent function (min, equality count,
-// population count, fill, copy), so lane
-// width cannot leak into results and the crosscheck/metamorphic
-// harness can differential-test variants against the scalar oracle.
+// Bit-identity contract: for any input, every variant returns exactly
+// the value the scalar variant returns.  Minimum is order-independent,
+// so lane width cannot leak into results, and the crosscheck harness
+// and THRIFTY_SIMD=scalar runs can differential-test the variants.
 //
 // The vector variants are compiled with per-function target attributes
 // (no global -mavx2), so one binary carries all paths and non-x86
@@ -63,7 +61,7 @@ namespace simd {
 [[nodiscard]] SimdLevel effective_level();
 
 /// The x86 gather instructions sign-extend their 32-bit indices, so the
-/// gather kernels can only address ids below 2^31.  Call sites that feed
+/// gather kernel can only address ids below 2^31.  Call sites that feed
 /// vertex ids into gathers clamp through this helper; graphs that large
 /// simply keep the scalar path.
 inline constexpr std::uint64_t kMaxGatherIds = 1ull << 31;
@@ -71,9 +69,6 @@ inline constexpr std::uint64_t kMaxGatherIds = 1ull << 31;
                                             std::uint64_t num_ids) {
   return num_ids > kMaxGatherIds ? SimdLevel::kScalar : level;
 }
-
-// ---------------------------------------------------------------------
-// Kernels.  Every variant is bit-identical to the scalar variant.
 
 /// min(init, values[indices[0..count)]) — the pull-mode min-label scan
 /// (values = label array, indices = a CSR adjacency slice).  When
@@ -87,40 +82,6 @@ inline constexpr std::uint64_t kMaxGatherIds = 1ull << 31;
                                            std::uint32_t init,
                                            bool stop_at_zero,
                                            SimdLevel level);
-
-/// Number of positions where a[i] == b[i] — the convergence sweep.
-[[nodiscard]] std::uint64_t count_equal_u32(const std::uint32_t* a,
-                                            const std::uint32_t* b,
-                                            std::size_t count,
-                                            SimdLevel level);
-
-/// Sum of std::popcount over words — Bitmap::count.
-[[nodiscard]] std::uint64_t popcount_u64(const std::uint64_t* words,
-                                         std::size_t count,
-                                         SimdLevel level);
-
-/// Zeroes words — Bitmap::clear.
-void fill_zero_u64(std::uint64_t* words, std::size_t count,
-                   SimdLevel level);
-
-/// dst[0..count) = src[0..count) — the DO-LP label-synchronisation
-/// sweep.
-void copy_u32(std::uint32_t* dst, const std::uint32_t* src,
-              std::size_t count, SimdLevel level);
-
-/// Pointer-jumps parent[begin..end) to its fixed point: sweeps
-/// parent[v] = parent[parent[v]] where the grandparent is smaller, until
-/// the range is stable, i.e. every entry in the range points at a root.
-/// Indices may reach outside [begin, end) — reads cover the whole array
-/// — which is what lets callers run one flatten per thread over a static
-/// partition.  Returns true when any entry changed, which is exactly
-/// "some entry was not already pointing at a root".  Scalar only: a
-/// gather-based AVX2/AVX-512 sweep measured slower than this loop.
-///
-/// Requires parent[v] <= v-ish monotonicity only in the sense every
-/// union-find forest provides: chains terminate at a self-loop root.
-bool flatten_u32(std::uint32_t* parent, std::size_t begin,
-                 std::size_t end);
 
 }  // namespace simd
 }  // namespace thrifty::support

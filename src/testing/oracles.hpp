@@ -46,9 +46,10 @@ struct RunSetup {
   /// Seed forwarded to randomised algorithms (JT priorities, Afforest
   /// sampling).
   std::uint64_t algorithm_seed = 1;
-  /// Kernel instruction-set ceiling (support/simd.hpp).  SIMD variants
-  /// are bit-identical to scalar by contract, so the matrix sweeps the
-  /// level like any other knob; kAuto uses the widest supported level.
+  /// Gather-kernel instruction-set ceiling (support/simd.hpp).  Its
+  /// SIMD variants are bit-identical to scalar by contract, so the
+  /// matrix sweeps the level like any other knob; kAuto uses the widest
+  /// supported level.
   support::SimdLevel simd = support::SimdLevel::kAuto;
   /// Vertex reordering applied before the run (reorder/reorder.hpp);
   /// labels are mapped back to original ids afterwards, so reordering

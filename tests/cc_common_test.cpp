@@ -192,6 +192,34 @@ TEST(DenseLabelHelpers, MatchMapOraclesAtEveryThreadCount) {
   }
 }
 
+TEST(DenseLabelHelpers, CopyAndCountEqualMatchPlainLoopsOnUnevenSlices) {
+  // copy_labels and count_equal_labels split the array into one slice
+  // per thread; sizes that are not a multiple of the team leave a short
+  // last slice (or empty ones when n < threads).
+  std::mt19937 rng(17);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{3},
+                              std::size_t{1001}, std::size_t{10007}}) {
+    std::vector<Label> a(n);
+    std::vector<Label> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<Label>(rng() % 8);  // small alphabet: plenty
+      b[i] = static_cast<Label>(rng() % 8);  // of equal positions
+    }
+    std::uint64_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) expected += a[i] == b[i] ? 1 : 0;
+    for (const int threads : {1, 3, 4}) {
+      const support::ThreadCountGuard guard(threads);
+      SCOPED_TRACE("n=" + std::to_string(n) + ", t=" +
+                   std::to_string(threads));
+      EXPECT_EQ(count_equal_labels(a, b), expected);
+      EXPECT_EQ(count_equal_labels(a, a), n);
+      std::vector<Label> copied(n, 0xdeadbeefu);
+      copy_labels(a, copied);
+      EXPECT_EQ(copied, a);
+    }
+  }
+}
+
 TEST(DenseLabelHelpers, CensusTiesKeepSizeThenLabelOrder) {
   const std::vector<Label> labels{9, 4, 9, 4, 2, 6, 6, 1};
   const auto census = component_census(labels);

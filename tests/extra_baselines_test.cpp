@@ -4,6 +4,10 @@
 // the registry sweep in cc_algorithms_test.cpp.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "cc_baselines/concurrent_hook.hpp"
 #include "cc_baselines/fastsv.hpp"
 #include "cc_baselines/hybrid_cc.hpp"
 #include "cc_baselines/reference_cc.hpp"
@@ -15,6 +19,8 @@
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_stats.hpp"
+#include "support/parallel.hpp"
+#include "support/random.hpp"
 
 namespace thrifty::baselines {
 namespace {
@@ -101,6 +107,74 @@ TEST(FastSv, FewIterationsOnLongPath) {
   const auto result = fastsv_cc(g);
   EXPECT_TRUE(core::verify_labels(g, result.label_span()).valid);
   EXPECT_LT(result.stats.num_iterations, 64);
+}
+
+/// Random union-find forest: parent[v] <= v, so chains end at a root.
+core::LabelArray random_forest(VertexId n, std::uint64_t seed) {
+  support::Xoshiro256StarStar rng(seed);
+  core::LabelArray parent = core::make_label_array(n);
+  for (VertexId v = 0; v < n; ++v) {
+    parent[v] = static_cast<graph::Label>(rng.next_below(v + 1));
+  }
+  return parent;
+}
+
+/// Reference flatten: chase every entry to its root.
+std::vector<graph::Label> flattened(const core::LabelArray& parent) {
+  std::vector<graph::Label> roots(parent.begin(), parent.end());
+  for (auto& p : roots) {
+    while (p != roots[p]) p = roots[p];
+  }
+  return roots;
+}
+
+bool equals(const core::LabelArray& a, const std::vector<graph::Label>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(HookFlatten, ReachesFixpointOnChainsStarsAndForests) {
+  // SV and FastSV shortcut with hook::flatten, and FastSV's termination
+  // reads its return value: true exactly when some entry did not already
+  // point at its root.
+  for (const VertexId n : {0u, 1u, 2u, 17u, 1000u, 10007u}) {
+    std::vector<core::LabelArray> forests;
+    core::LabelArray chain = core::make_label_array(n);  // v -> v-1 -> 0
+    for (VertexId v = 0; v < n; ++v) chain[v] = v == 0 ? 0 : v - 1;
+    forests.push_back(std::move(chain));
+    core::LabelArray star = core::make_label_array(n);  // already flat
+    for (VertexId v = 0; v < n; ++v) star[v] = 0;
+    forests.push_back(std::move(star));
+    forests.push_back(random_forest(n, 0x88 + n));
+
+    for (const core::LabelArray& forest : forests) {
+      const std::vector<graph::Label> expected = flattened(forest);
+      const bool expect_moved = !equals(forest, expected);
+      for (const int threads : {1, 3, 4}) {
+        const support::ThreadCountGuard guard(threads);
+        core::LabelArray parent = forest;
+        EXPECT_EQ(hook::flatten(parent, n), expect_moved)
+            << "n=" << n << " t=" << threads;
+        EXPECT_TRUE(equals(parent, expected))
+            << "n=" << n << " t=" << threads;
+        EXPECT_FALSE(hook::flatten(parent, n)) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(HookFlatten, SliceTouchesOnlyItsSlice) {
+  // flatten() hands each thread one slice; parents are read globally.
+  const core::LabelArray forest = random_forest(200, 0x99);
+  const std::vector<graph::Label> expected = flattened(forest);
+  core::LabelArray parent = forest;
+  EXPECT_TRUE(hook::flatten_slice(parent.data(), 50, 150));
+  for (VertexId v = 0; v < parent.size(); ++v) {
+    if (v >= 50 && v < 150) {
+      EXPECT_EQ(parent[v], expected[v]) << "v=" << v;
+    } else {
+      EXPECT_EQ(parent[v], forest[v]) << "v=" << v;
+    }
+  }
 }
 
 TEST(SampledLp, GiantComponentGetsZeroLabel) {

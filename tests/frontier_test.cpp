@@ -66,6 +66,30 @@ TEST(Bitmap, ConcurrentSetAtomicInsertsEachBitOnce) {
   EXPECT_EQ(bitmap.count(), n);
 }
 
+TEST(Bitmap, CountAndClearOnBothSidesOfSerialCutoff) {
+  // clear() runs serially below 2^18 words and on a parallel team above;
+  // count() always splits the words across the team.  Bit positions
+  // straddle word boundaries and the partial final word, and the sizes
+  // are not a multiple of any team size.
+  for (const std::uint64_t num_bits :
+       {std::uint64_t{64 * 37 + 13}, std::uint64_t{(1u << 18) * 64 + 197}}) {
+    const std::vector<std::uint64_t> bits = {
+        0, 1, 63, 64, 127, 128, 1023, num_bits / 2, num_bits - 65,
+        num_bits - 1};
+    for (const int threads : {1, 3, 4}) {
+      const support::ThreadCountGuard guard(threads);
+      Bitmap bitmap(num_bits);
+      EXPECT_EQ(bitmap.count(), 0u);
+      for (const std::uint64_t bit : bits) bitmap.set(bit);
+      EXPECT_EQ(bitmap.count(), bits.size())
+          << "bits=" << num_bits << " t=" << threads;
+      bitmap.clear();
+      EXPECT_EQ(bitmap.count(), 0u);
+      for (const std::uint64_t bit : bits) EXPECT_FALSE(bitmap.get(bit));
+    }
+  }
+}
+
 TEST(Bitmap, SwapExchangesContents) {
   Bitmap a(64);
   Bitmap b(64);

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
@@ -48,6 +49,36 @@ TEST(ArgParserTest, NumericFlagsParseWithFallback) {
   EXPECT_EQ(args.flag_int("broken", 3), 3);  // empty value -> fallback
 }
 
+/// The message of the std::runtime_error `body` throws ("" if none).
+template <typename Body>
+std::string error_of(Body&& body) {
+  try {
+    body();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParserTest, NumericFlagsRejectPartialAndOutOfRangeValues) {
+  const ArgParser args =
+      make_parser({"--trials=abc", "--seed=5x", "--threshold=0.02x",
+                   "--shards=99999999999999999999", "--ok=-3"});
+  const std::string trials =
+      error_of([&] { (void)args.flag_int("trials", 1); });
+  EXPECT_NE(trials.find("--trials"), std::string::npos) << trials;
+  EXPECT_NE(trials.find("'abc'"), std::string::npos) << trials;
+  EXPECT_NE(error_of([&] { (void)args.flag_int("seed", 1); }).find("--seed"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { (void)args.flag_double("threshold", 0.0); })
+                .find("--threshold"),
+            std::string::npos);
+  const std::string shards =
+      error_of([&] { (void)args.flag_int("shards", 0); });
+  EXPECT_NE(shards.find("out of range"), std::string::npos) << shards;
+  EXPECT_EQ(args.flag_int("ok", 0), -3);
+}
+
 TEST(ArgParserTest, UnknownFlagDetection) {
   const ArgParser args = make_parser({"--algo=x", "--oops"});
   const auto unknown = args.unknown_flags({"algo"});
@@ -72,6 +103,31 @@ TEST(LoadGraph, RejectsBadSpecs) {
   EXPECT_THROW((void)load_graph("gen:dataset:bogus"), std::runtime_error);
   EXPECT_THROW((void)load_graph("/nonexistent/file.el"),
                std::runtime_error);
+}
+
+TEST(LoadGraph, GeneratorSpecsRejectBadValuesAndUnknownKeys) {
+  struct Case {
+    const char* spec;
+    const char* named;  // what the error message must mention
+  };
+  const Case cases[] = {
+      // Colons are not separators: w's value is the rest of the spec.
+      {"gen:grid:w=512:h=512", "key 'w'"},
+      {"gen:grid:w=64,h=64,removal=0.02", "no key 'removal'"},
+      {"gen:rmat:scale=8,ef=4x", "key 'ef'"},
+      {"gen:rmat:scale=99999999999", "out of range"},
+      {"gen:rmat:scale=8,scale=9", "'scale' given twice"},
+      {"gen:grid:w=-4,h=4", "non-negative"},
+      {"gen:ba:n=500,m=3,seed=", "key 'seed'"},
+      {"gen:er:n=100,m=300,scale=3", "no key 'scale'"},
+  };
+  for (const Case& c : cases) {
+    const std::string message =
+        error_of([&] { (void)load_graph(c.spec); });
+    EXPECT_NE(message.find(c.named), std::string::npos)
+        << c.spec << ": '" << message << "'";
+  }
+  EXPECT_EQ(load_graph("gen:grid:w=6,h=5,seed=2").num_vertices(), 30u);
 }
 
 TEST(LoadGraph, LoadsByExtension) {

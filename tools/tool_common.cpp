@@ -1,10 +1,12 @@
 #include "tools/tool_common.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "bench_common/datasets.hpp"
 #include "gen/barabasi_albert.hpp"
@@ -18,6 +20,29 @@
 #include "io/matrix_market_io.hpp"
 
 namespace thrifty::tools {
+
+namespace {
+
+/// Parses all of `text` as a T that can hold its value; otherwise throws
+/// a message that starts with `what` (the flag or generator key).
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  const char* const last = text.data() + text.size();
+  T value{};
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::runtime_error(what + ": '" + text + "' is out of range");
+  }
+  if (error != std::errc{} || end != last) {
+    const char* kind = std::is_floating_point_v<T> ? "a number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    throw std::runtime_error(what + ": '" + text + "' is not " + kind);
+  }
+  return value;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -51,14 +76,14 @@ std::int64_t ArgParser::flag_int(const std::string& name,
                                  std::int64_t fallback) const {
   const auto value = flag(name);
   if (!value || value->empty()) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  return parse_number<std::int64_t>("--" + name, *value);
 }
 
 double ArgParser::flag_double(const std::string& name,
                               double fallback) const {
   const auto value = flag(name);
   if (!value || value->empty()) return fallback;
-  return std::strtod(value->c_str(), nullptr);
+  return parse_number<double>("--" + name, *value);
 }
 
 std::vector<std::string> ArgParser::unknown_flags(
@@ -74,27 +99,50 @@ std::vector<std::string> ArgParser::unknown_flags(
 
 namespace {
 
-std::map<std::string, std::string> parse_kv(const std::string& spec) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("generator spec: expected key=value, got '" +
-                               item + "'");
+/// The comma-separated key=value pairs of a `kind` generator spec.
+/// Every key must be one of `keys` and appear at most once.
+class GeneratorArgs {
+ public:
+  GeneratorArgs(const std::string& kind, const std::string& spec,
+                std::initializer_list<const char*> keys)
+      : kind_(kind) {
+    std::istringstream in(spec);
+    std::string item;
+    while (std::getline(in, item, ',')) {
+      const auto eq = item.find('=');
+      if (eq == std::string::npos) {
+        throw std::runtime_error("generator spec: expected key=value, got '" +
+                                 item + "'");
+      }
+      const std::string key = item.substr(0, eq);
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+        std::string known;
+        for (const char* k : keys) {
+          known += (known.empty() ? "" : ", ") + std::string(k);
+        }
+        throw std::runtime_error("generator spec: " + kind +
+                                 " takes no key '" + key + "' (keys: " +
+                                 known + ")");
+      }
+      if (!values_.emplace(key, item.substr(eq + 1)).second) {
+        throw std::runtime_error("generator spec: " + kind + " key '" + key +
+                                 "' given twice");
+      }
     }
-    kv[item.substr(0, eq)] = item.substr(eq + 1);
   }
-  return kv;
-}
 
-std::int64_t kv_int(const std::map<std::string, std::string>& kv,
-                    const std::string& key, std::int64_t fallback) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
+  template <typename T>
+  [[nodiscard]] T get(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    return parse_number<T>(
+        "generator spec: " + kind_ + " key '" + key + "'", it->second);
+  }
+
+ private:
+  std::string kind_;
+  std::map<std::string, std::string> values_;
+};
 
 graph::CsrGraph build_from_generator(const std::string& spec) {
   const auto colon = spec.find(':');
@@ -111,38 +159,38 @@ graph::CsrGraph build_from_generator(const std::string& spec) {
     }
     return bench::build_dataset(*ds);
   }
-  const auto kv = parse_kv(rest);
   if (kind == "rmat") {
+    const GeneratorArgs args(kind, rest, {"scale", "ef", "seed"});
     gen::RmatParams params;
-    params.scale = static_cast<int>(kv_int(kv, "scale", 14));
-    params.edge_factor = static_cast<int>(kv_int(kv, "ef", 16));
-    params.seed = static_cast<std::uint64_t>(kv_int(kv, "seed", 1));
+    params.scale = args.get<int>("scale", 14);
+    params.edge_factor = args.get<int>("ef", 16);
+    params.seed = args.get<std::uint64_t>("seed", 1);
     return graph::build_csr(gen::rmat_edges(params)).graph;
   }
   if (kind == "ba") {
+    const GeneratorArgs args(kind, rest, {"n", "m", "seed"});
     gen::BarabasiAlbertParams params;
-    params.num_vertices =
-        static_cast<graph::VertexId>(kv_int(kv, "n", 1 << 14));
-    params.edges_per_vertex = static_cast<int>(kv_int(kv, "m", 8));
-    params.seed = static_cast<std::uint64_t>(kv_int(kv, "seed", 1));
+    params.num_vertices = args.get<graph::VertexId>("n", 1 << 14);
+    params.edges_per_vertex = args.get<int>("m", 8);
+    params.seed = args.get<std::uint64_t>("seed", 1);
     return graph::build_csr(gen::barabasi_albert_edges(params)).graph;
   }
   if (kind == "grid") {
+    const GeneratorArgs args(kind, rest, {"w", "h", "seed"});
     gen::GridParams params;
-    params.width = static_cast<graph::VertexId>(kv_int(kv, "w", 256));
-    params.height = static_cast<graph::VertexId>(kv_int(kv, "h", 256));
-    params.seed = static_cast<std::uint64_t>(kv_int(kv, "seed", 1));
+    params.width = args.get<graph::VertexId>("w", 256);
+    params.height = args.get<graph::VertexId>("h", 256);
+    params.seed = args.get<std::uint64_t>("seed", 1);
     return graph::build_csr(gen::grid_edges(params),
                             params.width * params.height)
         .graph;
   }
   if (kind == "er") {
+    const GeneratorArgs args(kind, rest, {"n", "m", "seed"});
     gen::ErdosRenyiParams params;
-    params.num_vertices =
-        static_cast<graph::VertexId>(kv_int(kv, "n", 1 << 14));
-    params.num_edges =
-        static_cast<std::uint64_t>(kv_int(kv, "m", 1 << 18));
-    params.seed = static_cast<std::uint64_t>(kv_int(kv, "seed", 1));
+    params.num_vertices = args.get<graph::VertexId>("n", 1 << 14);
+    params.num_edges = args.get<std::uint64_t>("m", 1 << 18);
+    params.seed = args.get<std::uint64_t>("seed", 1);
     return graph::build_csr(gen::erdos_renyi_edges(params),
                             params.num_vertices)
         .graph;
