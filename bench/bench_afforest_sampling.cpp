@@ -2,8 +2,6 @@
 // (GAP defaults to 2; the paper's Afforest column uses that default.)
 // For each round count we report time and the fraction of vertices the
 // giant-component skip saves in phase 3 — the quantity extra rounds buy.
-// Also sweeps the Sampled+LP hybrid across the same knob, showing the
-// finish strategy's sensitivity.
 #include <cstdio>
 #include <string>
 
@@ -11,7 +9,6 @@
 #include "bench_common/harness.hpp"
 #include "bench_common/table_printer.hpp"
 #include "cc_baselines/afforest.hpp"
-#include "cc_baselines/hybrid_cc.hpp"
 #include "core/verify.hpp"
 #include "support/env.hpp"
 
@@ -22,45 +19,30 @@ using namespace thrifty;  // NOLINT(google-build-using-namespace)
 int run() {
   const auto scale = support::bench_scale();
   bench::print_banner(
-      std::string("Afforest / Sampled+LP: neighbour-sampling rounds "
-                  "(scale: ") +
+      std::string("Afforest: neighbour-sampling rounds (scale: ") +
       support::to_string(scale) + ")");
 
   for (const char* name : {"twitter", "sk_domain", "gb_road"}) {
     const auto* spec = bench::find_dataset(name);
     const graph::CsrGraph g = bench::build_dataset(*spec, scale);
     std::printf("\nDataset: %s\n", name);
-    bench::TablePrinter table(
-        {"Rounds", "Afforest ms", "Hybrid ms", "Afforest ok",
-         "Hybrid ok"});
+    bench::TablePrinter table({"Rounds", "Afforest ms", "Afforest ok"});
     for (const int rounds : {0, 1, 2, 4, 8}) {
       core::CcOptions options;
       options.sample_rounds = rounds;
       double afforest_best = 0.0;
-      double hybrid_best = 0.0;
       core::CcResult afforest_last;
-      core::CcResult hybrid_last;
       for (int t = 0; t < 3; ++t) {
         auto a = baselines::afforest_cc(g, options);
-        auto h = baselines::sampled_lp_cc(g, options);
         afforest_best = t == 0
                             ? a.stats.total_ms
                             : std::min(afforest_best, a.stats.total_ms);
-        hybrid_best = t == 0 ? h.stats.total_ms
-                             : std::min(hybrid_best, h.stats.total_ms);
-        if (t == 2) {
-          afforest_last = std::move(a);
-          hybrid_last = std::move(h);
-        }
+        if (t == 2) afforest_last = std::move(a);
       }
       table.add_row(
           {std::to_string(rounds),
            bench::TablePrinter::fmt_ms(afforest_best),
-           bench::TablePrinter::fmt_ms(hybrid_best),
            core::verify_labels(g, afforest_last.label_span()).valid
-               ? "yes"
-               : "NO",
-           core::verify_labels(g, hybrid_last.label_span()).valid
                ? "yes"
                : "NO"});
     }

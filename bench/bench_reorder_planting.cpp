@@ -220,7 +220,7 @@ int run() {
       "\nShape check: hub-first numbering cuts DO-LP iterations vs "
       "hub-last; Thrifty gets the same effect from Zero Planting alone, "
       "without the reordering pass, and is fastest overall.  The gather "
-      "sweep shows degree/hub-cluster orders beating the original "
+      "sweep shows the degree order beating the original "
       "numbering and random trailing it, at every SIMD level.\n");
   return 0;
 }

@@ -1,5 +1,5 @@
 // Shared concurrent min-hooking primitives for the union-find-based
-// algorithms (Afforest, the sampled hybrid) and the incremental ingest
+// algorithms (Afforest, the adaptive executor) and the incremental ingest
 // path of the serving layer: lock-free linking with on-the-fly
 // compression, pointer-jumping compression passes, grandparent-sweep
 // flattening (the Shiloach–Vishkin shortcut) and most-frequent-component
@@ -115,10 +115,9 @@ inline bool flatten_slice(graph::Label* comp, std::size_t begin,
 /// neighbouring slice can lower a parent after this slice's own sweep
 /// stabilises, so one round is not enough).  Returns whether any entry
 /// moved, i.e. the forest was not already a set of stars — a property
-/// of the input, independent of the thread count.  SV and FastSV
-/// shortcut with this rather than compress(): on a road graph FastSV
-/// measured faster with grandparent sweeps than with compress()'s
-/// per-vertex root chase (EXPERIMENTS.md, "One vector kernel").
+/// of the input, independent of the thread count.  SV shortcuts with
+/// this rather than compress()'s per-vertex root chase; the comparison
+/// is in EXPERIMENTS.md ("One vector kernel").
 inline bool flatten(core::LabelArray& comp, graph::VertexId n) {
   bool any = false;
   std::atomic<bool> again{true};

@@ -4,8 +4,6 @@
 
 #include "cc_baselines/afforest.hpp"
 #include "cc_baselines/bfs_cc.hpp"
-#include "cc_baselines/fastsv.hpp"
-#include "cc_baselines/hybrid_cc.hpp"
 #include "cc_baselines/jayanti_tarjan.hpp"
 #include "cc_baselines/reference_cc.hpp"
 #include "cc_baselines/shiloach_vishkin.hpp"
@@ -19,7 +17,7 @@ namespace thrifty::baselines {
 
 namespace {
 
-constexpr std::array<AlgorithmEntry, 12> kAlgorithms = {{
+constexpr std::array<AlgorithmEntry, 10> kAlgorithms = {{
     {"sv", "SV", &shiloach_vishkin_cc, false, 0.0},
     {"bfs_cc", "BFS-CC", &bfs_cc, false, 0.0},
     {"dolp", "DO-LP", &core::dolp_cc, true, frontier::kLigraThreshold},
@@ -29,9 +27,6 @@ constexpr std::array<AlgorithmEntry, 12> kAlgorithms = {{
      frontier::kThriftyThreshold},
     {"dolp_unified", "DO-LP+Unified", &core::dolp_unified_cc, true,
      frontier::kLigraThreshold},
-    {"sampled_lp", "Sampled+LP", &sampled_lp_cc, true,
-     frontier::kThriftyThreshold},
-    {"fastsv", "FastSV", &fastsv_cc, true, 0.0},
     {"adaptive", "Adaptive", &plan::solve_adaptive, true,
      frontier::kThriftyThreshold},
     {"async", "Async", &core::async_cc, true, frontier::kThriftyThreshold},

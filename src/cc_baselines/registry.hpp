@@ -25,8 +25,8 @@ struct AlgorithmEntry {
 };
 
 /// All algorithms, in the column order of Table IV: SV, BFS-CC, DO-LP,
-/// JT, Afforest, Thrifty — plus the extras (dolp_unified, sampled_lp,
-/// fastsv, adaptive, async, reference) after them.
+/// JT, Afforest, Thrifty — plus the extras (dolp_unified, adaptive,
+/// async, reference) after them.
 [[nodiscard]] std::span<const AlgorithmEntry> all_algorithms();
 
 /// The six algorithms of Table IV only.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "core/lp_internal.hpp"
 #include "frontier/density.hpp"
@@ -56,31 +55,23 @@ VertexId plant_zero(const CsrGraph& g, PlantSite site, std::uint64_t seed,
   return planted;
 }
 
-/// Where one run of the loop starts: its labels and, when iteration 0 is
-/// an Initial Push, the planted vertex whose label it pushes.  Without a
-/// push site iteration 0 is a full pull over every vertex.
-/// `pointer_jump` holds only for labels from `plant_zero`: there a label
-/// x > 0 names vertex x - 1, which lies in the same component and holds a
-/// label <= x, so a pull may also take that vertex's label.
-struct Start {
-  LabelArray labels;
-  std::optional<VertexId> push_from;
-  bool pointer_jump = false;
-};
-
-/// Algorithm 2's iteration loop, templated on the counter policy and (for
-/// the hot loops) on whether Zero Convergence is compiled in.
+/// Algorithm 2, templated on the counter policy and (for the hot loops)
+/// on whether Zero Convergence is compiled in: Zero Planting, the
+/// optional Initial Push, then the iteration loop.
 template <typename Counters, bool kZeroConv>
 CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
-                      Start start, std::span<const Label> final_labels) {
+                      const ThriftyVariant& variant,
+                      std::span<const Label> final_labels) {
   const VertexId n = g.num_vertices();
   const EdgeOffset m = g.num_directed_edges();
 
   CcResult result;
   result.stats.instrumented = Counters::kEnabled;
-  result.labels = std::move(start.labels);
+  result.labels = make_label_array(n);
   if (n == 0) return result;
   LabelArray& labels = result.labels;
+  const VertexId planted =
+      plant_zero(g, variant.plant_site, options.seed, labels);
 
   Counters counters;
 
@@ -106,11 +97,11 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
   bool full_pull_done = false;
   int iteration = 0;
 
-  if (start.push_from) {
+  if (variant.initial_push) {
     // --- Initial Push (Lines 11-12): one push traversal of the zero
     // label from the hub to its neighbours — the only edges processed in
     // iteration 0.
-    const VertexId hub = *start.push_from;
+    const VertexId hub = planted;
     IterationRecord rec;
     rec.index = 0;
     rec.direction = Direction::kInitialPush;
@@ -159,8 +150,8 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
     have_frontier = true;
     iteration = 1;
   } else {
-    // No Initial Push (the ablation, or caller-supplied labels): a
-    // DO-LP-style eager bootstrap — everything active.
+    // No Initial Push (the ablation): a DO-LP-style eager bootstrap —
+    // everything active.
     active_vertices = n;
     active_edges = m;
   }
@@ -230,7 +221,7 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
           [&](int t, const partition::VertexRange& range) {
             // A local copy: read through the capture, the flag was
             // reloaded for every vertex (about 0.3 ms of a 7 ms pull).
-            const bool jump = start.pointer_jump;
+            const bool jump = variant.pointer_jump;
             bool enqueue = !frontier_dense.load(std::memory_order_relaxed);
             std::uint64_t local_changes = 0;
             std::uint64_t local_edges = 0;
@@ -350,37 +341,18 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
   return result;
 }
 
-/// One timed solve: `make_start()` (planting, when the caller plants) and
-/// the loop.
-template <typename Counters, typename MakeStart>
+/// One timed solve, planting included.
+template <typename Counters>
 CcResult timed_solve(const CsrGraph& g, const CcOptions& options,
-                     bool zero_convergence, const MakeStart& make_start,
+                     const ThriftyVariant& variant,
                      std::span<const Label> final_labels) {
   support::Timer timer;
   CcResult result =
-      zero_convergence
-          ? thrifty_loop<Counters, true>(g, options, make_start(),
-                                         final_labels)
-          : thrifty_loop<Counters, false>(g, options, make_start(),
-                                          final_labels);
+      variant.zero_convergence
+          ? thrifty_loop<Counters, true>(g, options, variant, final_labels)
+          : thrifty_loop<Counters, false>(g, options, variant, final_labels);
   result.stats.total_ms = timer.elapsed_ms();
   return result;
-}
-
-/// Honours `options.instrument`: an instrumented run first solves plainly
-/// to learn the final labels its per-iteration convergence counts compare
-/// against, so `make_start` is called once or twice.
-template <typename MakeStart>
-CcResult solve(const CsrGraph& g, const CcOptions& options,
-               bool zero_convergence, const MakeStart& make_start) {
-  if (!options.instrument) {
-    return timed_solve<instrument::NullCounters>(g, options, zero_convergence,
-                                                 make_start, {});
-  }
-  const CcResult reference = timed_solve<instrument::NullCounters>(
-      g, options, zero_convergence, make_start, {});
-  return timed_solve<instrument::ActiveCounters>(
-      g, options, zero_convergence, make_start, reference.label_span());
 }
 
 }  // namespace
@@ -405,34 +377,19 @@ std::string ThriftyVariant::describe() const {
 
 CcResult thrifty_cc_variant(const CsrGraph& graph, const CcOptions& options,
                             const ThriftyVariant& variant) {
-  CcResult result =
-      solve(graph, options, variant.zero_convergence, [&] {
-        Start start{make_label_array(graph.num_vertices()), std::nullopt,
-                    variant.pointer_jump};
-        if (graph.num_vertices() == 0) return start;
-        const VertexId planted = plant_zero(graph, variant.plant_site,
-                                            options.seed, start.labels);
-        if (variant.initial_push) start.push_from = planted;
-        return start;
-      });
+  // An instrumented run first solves plainly to learn the final labels
+  // its per-iteration convergence counts compare against.
+  CcResult result;
+  if (!options.instrument) {
+    result = timed_solve<instrument::NullCounters>(graph, options, variant,
+                                                   {});
+  } else {
+    const CcResult reference =
+        timed_solve<instrument::NullCounters>(graph, options, variant, {});
+    result = timed_solve<instrument::ActiveCounters>(
+        graph, options, variant, reference.label_span());
+  }
   result.stats.algorithm = variant.describe();
-  return result;
-}
-
-CcResult thrifty_propagate(const CsrGraph& graph, const CcOptions& options,
-                           LabelArray initial) {
-  THRIFTY_EXPECTS(initial.size() == graph.num_vertices());
-  // The last solve takes the caller's array; an instrumented run's plain
-  // reference solve gets a copy.
-  bool copy = options.instrument;
-  CcResult result = solve(graph, options, true, [&] {
-    // Caller labels need not name a vertex of their own component, so
-    // this loop never jumps.
-    Start start{copy ? initial : std::move(initial), std::nullopt, false};
-    copy = false;
-    return start;
-  });
-  result.stats.algorithm = "thrifty_propagate";
   return result;
 }
 

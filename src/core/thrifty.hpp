@@ -28,9 +28,9 @@
 // high-diameter graph in a few sweeps; `ThriftyVariant::pointer_jump`
 // switches it off to run the paper's exact loop (Table V).
 //
-// The iteration loop exists once.  `thrifty_cc_variant` plants, runs the
-// optional Initial Push and enters it; `thrifty_propagate` enters it from
-// caller-supplied labels (the Sampled+LP hybrid's finish).
+// The iteration loop exists once, behind `thrifty_cc_variant`: it
+// plants, runs the optional Initial Push and enters the loop, each step
+// as its `ThriftyVariant` selects.
 #pragma once
 
 #include <string>
@@ -70,18 +70,5 @@ struct ThriftyVariant {
 [[nodiscard]] CcResult thrifty_cc_variant(const graph::CsrGraph& graph,
                                           const CcOptions& options,
                                           const ThriftyVariant& variant);
-
-/// Thrifty's loop from caller-supplied labels, one per vertex: no planting
-/// and no Initial Push, so iteration 0 is a full pull (the
-/// `initial_push = false` path), followed by Zero-Convergence pulls,
-/// Pull-Frontier and worklist pushes.  Every vertex ends at the minimum
-/// initial label of its component; label 0, if present, is the bottom
-/// Zero Convergence keys on.
-/// Caller labels need not name vertices of their own component, so this
-/// loop never pointer-jumps.
-/// `options.instrument` is honoured as in `thrifty_cc_variant`.
-[[nodiscard]] CcResult thrifty_propagate(const graph::CsrGraph& graph,
-                                         const CcOptions& options,
-                                         LabelArray initial);
 
 }  // namespace thrifty::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -24,8 +23,6 @@ const char* to_string(OrderKind kind) {
     case OrderKind::kNone: return "none";
     case OrderKind::kDegree: return "degree";
     case OrderKind::kDegreeAscending: return "degree-asc";
-    case OrderKind::kHubCluster: return "hub-cluster";
-    case OrderKind::kWindow: return "window";
     case OrderKind::kBfs: return "bfs";
     case OrderKind::kRandom: return "random";
   }
@@ -33,21 +30,24 @@ const char* to_string(OrderKind kind) {
 }
 
 std::optional<OrderKind> parse_order_kind(std::string_view text) {
-  if (text == "none") return OrderKind::kNone;
-  if (text == "degree") return OrderKind::kDegree;
-  if (text == "degree-asc") return OrderKind::kDegreeAscending;
-  if (text == "hub-cluster") return OrderKind::kHubCluster;
-  if (text == "window") return OrderKind::kWindow;
-  if (text == "bfs") return OrderKind::kBfs;
-  if (text == "random") return OrderKind::kRandom;
+  for (const OrderKind kind : all_order_kinds()) {
+    if (text == to_string(kind)) return kind;
+  }
   return std::nullopt;
 }
 
 std::vector<OrderKind> all_order_kinds() {
-  return {OrderKind::kNone,       OrderKind::kDegree,
-          OrderKind::kDegreeAscending, OrderKind::kHubCluster,
-          OrderKind::kWindow,     OrderKind::kBfs,
-          OrderKind::kRandom};
+  return {OrderKind::kNone, OrderKind::kDegree, OrderKind::kDegreeAscending,
+          OrderKind::kBfs, OrderKind::kRandom};
+}
+
+std::string order_kind_names(std::string_view separator) {
+  std::string names;
+  for (const OrderKind kind : all_order_kinds()) {
+    if (!names.empty()) names += separator;
+    names += to_string(kind);
+  }
+  return names;
 }
 
 Permutation identity_order(VertexId n) {
@@ -58,19 +58,16 @@ Permutation identity_order(VertexId n) {
 
 namespace {
 
-/// Sentinel key: the vertex keeps whatever rank it already has in `perm`.
-constexpr std::size_t kSkipKey = ~std::size_t{0};
-
 /// Stable parallel counting sort of vertices into ranks: every vertex v
-/// with key(v) != kSkipKey receives `perm[v] = base + rank`, ranks
-/// ordered by (key, old id), keys in [0, num_buckets).  The PR 1 builder
-/// machinery applied to vertices instead of edges: per-thread-block
-/// histograms, a scan over bucket totals, then private per-(block,
-/// bucket) write cursors — zero atomic read-modify-write operations, and
-/// the result is independent of the thread count because blocks are
-/// contiguous old-id ranges processed in ascending order.
+/// receives `perm[v] = rank`, ranks ordered by (key, old id), keys in
+/// [0, num_buckets).  The CSR builder's machinery applied to vertices
+/// instead of edges: per-thread-block histograms, a scan over bucket
+/// totals, then private per-(block, bucket) write cursors — zero atomic
+/// read-modify-write operations, and the result is independent of the
+/// thread count because blocks are contiguous old-id ranges processed in
+/// ascending order.
 template <typename KeyFn>
-void counting_sort_into(VertexId n, std::size_t num_buckets, VertexId base,
+void counting_sort_into(VertexId n, std::size_t num_buckets,
                         const KeyFn& key, Permutation& perm) {
   const int threads = support::num_threads();
   const auto blocks = static_cast<std::size_t>(threads);
@@ -92,7 +89,6 @@ void counting_sort_into(VertexId n, std::size_t num_buckets, VertexId base,
       std::fill(local, local + num_buckets, VertexId{0});
       for (std::size_t v = block_begin(t); v < block_begin(t + 1); ++v) {
         const std::size_t k = key(static_cast<VertexId>(v));
-        if (k == kSkipKey) continue;
         THRIFTY_ASSERT(k < num_buckets);
         ++local[k];
       }
@@ -114,7 +110,7 @@ void counting_sort_into(VertexId n, std::size_t num_buckets, VertexId base,
   support::parallel_exclusive_scan(totals.data(), num_buckets,
                                    starts.data());
   support::parallel_for(num_buckets, [&](std::size_t b) {
-    VertexId running = base + starts[b];
+    VertexId running = starts[b];
     for (std::size_t t = 0; t < blocks; ++t) {
       const VertexId c = counts[t * num_buckets + b];
       counts[t * num_buckets + b] = running;
@@ -128,9 +124,7 @@ void counting_sort_into(VertexId n, std::size_t num_buckets, VertexId base,
     for (std::size_t t = 0; t < blocks; ++t) {
       VertexId* cursor = counts.data() + t * num_buckets;
       for (std::size_t v = block_begin(t); v < block_begin(t + 1); ++v) {
-        const std::size_t k = key(static_cast<VertexId>(v));
-        if (k == kSkipKey) continue;
-        perm[v] = cursor[k]++;
+        perm[v] = cursor[key(static_cast<VertexId>(v))]++;
       }
     }
   }
@@ -147,7 +141,7 @@ Permutation degree_order(const CsrGraph& graph, bool descending) {
   }
   const auto buckets = static_cast<std::size_t>(max_degree) + 1;
   counting_sort_into(
-      n, buckets, /*base=*/0,
+      n, buckets,
       [&](VertexId v) {
         const auto d = static_cast<std::size_t>(graph.degree(v));
         return descending ? static_cast<std::size_t>(max_degree) - d : d;
@@ -164,90 +158,6 @@ Permutation degree_descending_order(const CsrGraph& graph) {
 
 Permutation degree_ascending_order(const CsrGraph& graph) {
   return degree_order(graph, /*descending=*/false);
-}
-
-EdgeOffset hub_cluster_auto_threshold(const CsrGraph& graph) {
-  const VertexId n = graph.num_vertices();
-  if (n == 0) return 16;
-  const EdgeOffset mean =
-      support::ceil_div(graph.num_directed_edges(), EdgeOffset{n});
-  return std::max<EdgeOffset>(16, 4 * mean);
-}
-
-Permutation hub_cluster_order(const CsrGraph& graph,
-                              const HubClusterParams& params) {
-  const VertexId n = graph.num_vertices();
-  Permutation perm(n);
-  if (n == 0) return perm;
-  const EdgeOffset threshold = params.hub_degree_threshold > 0
-                                   ? params.hub_degree_threshold
-                                   : hub_cluster_auto_threshold(graph);
-
-  // Descending-degree ranks double as hub ranks: every vertex of degree
-  // >= threshold sorts before every vertex below it, so the hubs are
-  // exactly the vertices with rank < H.
-  const Permutation degree_rank = degree_descending_order(graph);
-  const VertexId num_hubs = static_cast<VertexId>(support::parallel_sum(
-      n, [&](VertexId v) { return graph.degree(v) >= threshold ? 1 : 0; }));
-
-  // Hubs keep their degree rank; each non-hub is owned by its
-  // smallest-rank hub neighbour (the fringe sentinel `num_hubs` owns
-  // vertices with no hub neighbour).  Dynamic schedule: owner scans walk
-  // whole adjacency lists and degrees are skewed.
-  UninitVector<VertexId> owner(n);
-  support::parallel_for_dynamic(n, [&](VertexId v) {
-    if (degree_rank[v] < num_hubs) {
-      perm[v] = degree_rank[v];
-      owner[v] = n;  // marks "already placed"
-      return;
-    }
-    VertexId best = num_hubs;
-    for (const VertexId u : graph.neighbors(v)) {
-      best = std::min(best, degree_rank[u]);
-    }
-    owner[v] = best;
-  });
-
-  // Cluster: counting-sort the non-hubs by owner rank.  Bucket b < H is
-  // hub b's neighbourhood (old-id order within it), bucket H is the
-  // fringe — appended last by the same parallel pass.
-  counting_sort_into(
-      n, static_cast<std::size_t>(num_hubs) + 1, /*base=*/num_hubs,
-      [&](VertexId v) {
-        return owner[v] == n ? kSkipKey
-                             : static_cast<std::size_t>(owner[v]);
-      },
-      perm);
-  return perm;
-}
-
-Permutation window_local_degree_order(const CsrGraph& graph,
-                                      VertexId window) {
-  const VertexId n = graph.num_vertices();
-  Permutation perm(n);
-  if (n == 0) return perm;
-  window = std::max<VertexId>(1, window);
-  const VertexId num_windows = support::ceil_div(n, window);
-  // Windows are independent id ranges; each is re-ranked by descending
-  // degree (stable on old id) in place, so the result is deterministic
-  // for every thread count.
-  support::parallel_for_dynamic(
-      num_windows,
-      [&](VertexId w) {
-        const VertexId begin = w * window;
-        const VertexId end = std::min<VertexId>(begin + window, n);
-        std::vector<VertexId> ids(end - begin);
-        std::iota(ids.begin(), ids.end(), begin);
-        std::stable_sort(ids.begin(), ids.end(),
-                         [&](VertexId a, VertexId b) {
-                           return graph.degree(a) > graph.degree(b);
-                         });
-        for (VertexId i = 0; i < end - begin; ++i) {
-          perm[ids[i]] = begin + i;
-        }
-      },
-      VertexId{1});
-  return perm;
 }
 
 Permutation bfs_order(const CsrGraph& graph) {
@@ -291,8 +201,6 @@ Permutation make_order(const CsrGraph& graph, OrderKind kind,
     case OrderKind::kNone: return identity_order(graph.num_vertices());
     case OrderKind::kDegree: return degree_descending_order(graph);
     case OrderKind::kDegreeAscending: return degree_ascending_order(graph);
-    case OrderKind::kHubCluster: return hub_cluster_order(graph);
-    case OrderKind::kWindow: return window_local_degree_order(graph);
     case OrderKind::kBfs: return bfs_order(graph);
     case OrderKind::kRandom:
       return random_order(graph.num_vertices(), seed);

@@ -7,23 +7,20 @@
 // fewer cache misses per pull-sweep gather, which compounds with the
 // SIMD min-gather kernel (support/simd.hpp).
 //
-// Three families of orders, all OpenMP-parallel and deterministic in the
-// graph (independent of thread count):
-//   * degree orders — SAPCo-style counting sort on degree (LaganLighter's
-//     alg1_sapco_sort): per-thread-block histograms and private write
-//     cursors, zero atomic read-modify-write operations;
-//   * hub-cluster order — hubs first in descending degree, then each
-//     hub's neighbourhood clustered contiguously behind it (the iHTL
-//     layout), fringe vertices with no hub neighbour appended by a
-//     parallel pass;
-//   * window-local degree order — degree-descending within fixed id
-//     windows, preserving global placement while densifying each cache
-//     working set.
+// The orders, all deterministic in the graph (independent of thread
+// count):
+//   * degree orders — SAPCo-style parallel counting sort on degree
+//     (LaganLighter's alg1_sapco_sort): per-thread-block histograms and
+//     private write cursors, zero atomic read-modify-write operations;
+//   * BFS order from the maximum-degree vertex — hub-centred locality
+//     without sorting by degree;
+//   * a seeded random shuffle, the locality-destroying control.
 // Validation, composition and result map-back live in relabel.hpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -43,19 +40,19 @@ enum class OrderKind : std::uint8_t {
   kNone = 0,
   kDegree,           ///< descending degree: hubs get the smallest ids
   kDegreeAscending,  ///< adversarial counterpart: hubs last
-  kHubCluster,       ///< hubs first, neighbourhoods clustered behind them
-  kWindow,           ///< degree-descending within fixed id windows
   kBfs,              ///< BFS visit order from the maximum-degree vertex
   kRandom,           ///< seeded uniform shuffle (destroys locality)
 };
 
 [[nodiscard]] const char* to_string(OrderKind kind);
-/// Parses "none" | "degree" | "degree-asc" | "hub-cluster" | "window" |
-/// "bfs" | "random"; nullopt otherwise.
+/// Parses a `to_string` name back to its kind; nullopt otherwise.
 [[nodiscard]] std::optional<OrderKind> parse_order_kind(
     std::string_view text);
 /// All kinds in a stable order (sweep order of benches and tests).
 [[nodiscard]] std::vector<OrderKind> all_order_kinds();
+/// The names of all_order_kinds() joined by `separator`, for help and
+/// error text.
+[[nodiscard]] std::string order_kind_names(std::string_view separator);
 
 /// Identity permutation.
 [[nodiscard]] Permutation identity_order(graph::VertexId n);
@@ -71,31 +68,6 @@ enum class OrderKind : std::uint8_t {
 /// largest ids, fringe vertices the smallest labels).
 [[nodiscard]] Permutation degree_ascending_order(
     const graph::CsrGraph& graph);
-
-struct HubClusterParams {
-  /// Degree at and above which a vertex counts as a hub; 0 selects the
-  /// automatic threshold max(16, 4 * mean degree).
-  graph::EdgeOffset hub_degree_threshold = 0;
-};
-
-/// Hub-cluster order: hubs occupy [0, H) in descending degree; every
-/// non-hub vertex adjacent to at least one hub is placed in the cluster
-/// of its smallest-rank hub neighbour, clusters laid out contiguously in
-/// hub-rank order; fringe vertices (no hub neighbour) are appended last.
-/// Within a cluster (and the fringe) old-id order is preserved.
-[[nodiscard]] Permutation hub_cluster_order(
-    const graph::CsrGraph& graph, const HubClusterParams& params = {});
-
-/// The automatic hub threshold hub_cluster_order uses for `params = {}`.
-[[nodiscard]] graph::EdgeOffset hub_cluster_auto_threshold(
-    const graph::CsrGraph& graph);
-
-/// Window-local degree order: vertex ids are re-ranked by descending
-/// degree *within* fixed windows of `window` consecutive ids, so global
-/// placement survives while every window densifies its hot entries.
-/// Windows are independent, hence embarrassingly parallel.
-[[nodiscard]] Permutation window_local_degree_order(
-    const graph::CsrGraph& graph, graph::VertexId window = 1024);
 
 /// BFS visit order from the maximum-degree vertex (hub-centred locality
 /// order); vertices unreachable from the hub are appended in old-id

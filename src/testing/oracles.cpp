@@ -66,9 +66,9 @@ std::vector<RunSetup> perturbation_matrix() {
   }
   // Reordering is a pure relabelling: solving the reordered graph and
   // mapping labels back must reproduce the original partition at every
-  // schedule.  One structured order (hubs first), one clustered order,
-  // and one adversarial shuffle cover the three order families without
-  // sweeping the full cross product.
+  // schedule.  One degree order (hubs first), one traversal order (BFS
+  // from the hub) and one adversarial shuffle cover the three order
+  // families without sweeping the full cross product.
   {
     RunSetup setup;
     setup.threads = 4;
@@ -76,7 +76,7 @@ std::vector<RunSetup> perturbation_matrix() {
     matrix.push_back(setup);
     setup = RunSetup{};
     setup.threads = 2;
-    setup.reorder = reorder::OrderKind::kHubCluster;
+    setup.reorder = reorder::OrderKind::kBfs;
     matrix.push_back(setup);
     setup = RunSetup{};
     setup.threads = 4;

@@ -241,14 +241,15 @@ TEST_F(InjectedFault, ReproFileRoundTripsAndReplays) {
   EXPECT_TRUE(replay_repro(parsed));
 
   // The reorder dimension persists through the file and the replayed
-  // run still goes through the reorder -> solve -> map-back pipeline.
+  // run still goes through the reorder -> solve -> map-back pipeline
+  // (BFS order: neither degree-sorted nor random).
   Repro reordered = original;
-  reordered.setup.reorder = reorder::OrderKind::kHubCluster;
+  reordered.setup.reorder = reorder::OrderKind::kBfs;
   std::ostringstream reordered_out;
   write_repro(reordered_out, reordered);
   std::istringstream reordered_in(reordered_out.str());
   const Repro reparsed = read_repro(reordered_in);
-  EXPECT_EQ(reparsed.setup.reorder, reorder::OrderKind::kHubCluster);
+  EXPECT_EQ(reparsed.setup.reorder, reorder::OrderKind::kBfs);
   EXPECT_TRUE(replay_repro(reparsed));
 
   // Files written before the reorder key existed parse as kNone.

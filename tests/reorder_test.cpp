@@ -24,7 +24,6 @@ namespace thrifty::reorder {
 namespace {
 
 using graph::CsrGraph;
-using graph::EdgeOffset;
 using graph::VertexId;
 
 CsrGraph skewed_graph(int scale = 11, int edge_factor = 8) {
@@ -152,6 +151,8 @@ TEST(Reorder, OrderKindNamesRoundTrip) {
   }
   EXPECT_FALSE(parse_order_kind("degreee").has_value());
   EXPECT_FALSE(parse_order_kind("").has_value());
+  EXPECT_EQ(order_kind_names(" | "),
+            "none | degree | degree-asc | bfs | random");
 }
 
 TEST(Reorder, EveryOrderIsBijectionPerRelabelReport) {
@@ -184,7 +185,7 @@ TEST(Reorder, OrdersDeterministicAcrossThreadCounts) {
 
 TEST(Reorder, ApplyPermutationDeterministicAcrossThreadCounts) {
   const CsrGraph g = skewed_graph(10, 8);
-  const Permutation perm = hub_cluster_order(g);
+  const Permutation perm = bfs_order(g);
   const support::ThreadCountGuard serial(1);
   const CsrGraph reference = apply_permutation(g, perm);
   for (const int threads : {2, 3, 4}) {
@@ -226,58 +227,6 @@ TEST(Reorder, DegreeOrderMatchesSerialStableSortOracle) {
   }
 }
 
-TEST(Reorder, HubClusterLayout) {
-  const CsrGraph g = skewed_graph(10, 8);
-  const EdgeOffset threshold = hub_cluster_auto_threshold(g);
-  const Permutation perm = hub_cluster_order(g);
-  ASSERT_TRUE(is_permutation(perm));
-  const VertexId n = g.num_vertices();
-  VertexId num_hubs = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (g.degree(v) >= threshold) ++num_hubs;
-  }
-  ASSERT_GT(num_hubs, 0u);
-  const Permutation by_rank = inverse_permutation(perm);
-  // [0, H) is exactly the hubs, in descending degree.
-  for (VertexId r = 0; r < num_hubs; ++r) {
-    EXPECT_GE(g.degree(by_rank[r]), threshold);
-    if (r > 0) {
-      EXPECT_GE(g.degree(by_rank[r - 1]), g.degree(by_rank[r]));
-    }
-  }
-  // Each non-hub is owned by its smallest-rank hub neighbour (n = no hub
-  // neighbour -> fringe).  Owners must be non-decreasing along the rank
-  // axis: clusters are contiguous in hub-rank order, fringe last.
-  const auto owner_of = [&](VertexId v) {
-    VertexId best = n;
-    for (const VertexId u : g.neighbors(v)) {
-      if (perm[u] < num_hubs) best = std::min(best, perm[u]);
-    }
-    return best;
-  };
-  VertexId previous_owner = 0;
-  for (VertexId r = num_hubs; r < n; ++r) {
-    const VertexId owner = owner_of(by_rank[r]);
-    EXPECT_GE(owner, previous_owner) << "cluster not contiguous at " << r;
-    previous_owner = owner;
-  }
-}
-
-TEST(Reorder, WindowOrderStaysInWindowAndSortsByDegree) {
-  const CsrGraph g = skewed_graph(10, 8);
-  const VertexId window = 128;
-  const Permutation perm = window_local_degree_order(g, window);
-  ASSERT_TRUE(is_permutation(perm));
-  const Permutation by_rank = inverse_permutation(perm);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(perm[v] / window, v / window);  // never leaves its window
-  }
-  for (VertexId r = 1; r < g.num_vertices(); ++r) {
-    if (r % window == 0) continue;  // new window starts
-    EXPECT_GE(g.degree(by_rank[r - 1]), g.degree(by_rank[r]));
-  }
-}
-
 TEST(Reorder, ApplyInverseRoundTripsByteIdentical) {
   const CsrGraph g = skewed_graph(10, 6);
   const Permutation perm = random_order(g.num_vertices(), 3);
@@ -305,7 +254,7 @@ TEST(Reorder, MapLabelsBackMatchesSolvingOriginal) {
     return core::canonical_labels(result.label_span());
   }();
   for (const OrderKind kind :
-       {OrderKind::kDegree, OrderKind::kHubCluster, OrderKind::kRandom}) {
+       {OrderKind::kDegree, OrderKind::kBfs, OrderKind::kRandom}) {
     const Permutation perm = make_order(g, kind, 23);
     const CsrGraph reordered = apply_permutation(g, perm);
     const auto result = core::thrifty_cc(reordered);

@@ -176,7 +176,7 @@ TEST(Stress, AlgorithmsAreThreadCountInvariant) {
   params.edge_factor = 8;
   const CsrGraph g = graph::build_csr(gen::rmat_edges(params)).graph;
   for (const char* name : {"thrifty", "dolp", "dolp_unified", "afforest",
-                           "jt", "sv", "bfs_cc", "fastsv", "sampled_lp"}) {
+                           "jt", "sv", "bfs_cc"}) {
     const auto* entry = baselines::find_algorithm(name);
     std::vector<graph::Label> reference;
     for (const int width : {1, 2, 4}) {

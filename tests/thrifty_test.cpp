@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
-#include <random>
 #include <vector>
 
 #include "core/dolp.hpp"
@@ -270,76 +268,6 @@ TEST(Thrifty, LabelsAreZeroOrVertexPlusOneValues) {
   const CcResult result = thrifty_cc(g);
   for (const Label l : result.label_span()) {
     EXPECT_LE(l, g.num_vertices());
-  }
-}
-
-TEST(ThriftyPropagate, ConvergesToPerComponentMinimumOfInitialLabels) {
-  // A skewed graph plus a path and a star.  Caller labels: 0 on a region
-  // (every seventh vertex of the lower half, spread over several
-  // components), distinct shuffled values from 1 elsewhere.
-  gen::RmatParams params;
-  params.scale = 11;
-  params.edge_factor = 8;
-  const std::vector<graph::EdgeList> parts{
-      gen::rmat_edges(params), gen::path_edges(64), gen::star_edges(64)};
-  const std::vector<VertexId> sizes{1u << 11, 64, 64};
-  const CsrGraph g = graph::build_csr(gen::disjoint_union(parts, sizes),
-                                      (1u << 11) + 128)
-                         .graph;
-  const VertexId n = g.num_vertices();
-  std::vector<Label> values(n);
-  std::iota(values.begin(), values.end(), Label{1});
-  std::shuffle(values.begin(), values.end(), std::mt19937(7));
-  for (VertexId v = 0; v < n / 2; v += 7) values[v] = 0;
-  const LabelArray initial(values.begin(), values.end());
-
-  // Expected: the minimum initial label of each reference component.
-  const auto component = canonical_labels(thrifty_cc(g).label_span());
-  std::vector<Label> minimum(n, static_cast<Label>(-1));
-  for (VertexId v = 0; v < n; ++v) {
-    minimum[component[v]] = std::min(minimum[component[v]], values[v]);
-  }
-
-  const CcResult plain = thrifty_propagate(g, {}, initial);
-  const CcResult traced = thrifty_propagate(g, instrumented(), initial);
-  for (VertexId v = 0; v < n; ++v) {
-    ASSERT_EQ(plain.labels[v], minimum[component[v]]) << "vertex " << v;
-    ASSERT_EQ(traced.labels[v], plain.labels[v]) << "vertex " << v;
-  }
-  EXPECT_FALSE(plain.stats.instrumented);
-  EXPECT_TRUE(traced.stats.instrumented);
-  // No Initial Push: iteration 0 is a full pull over every vertex.
-  ASSERT_FALSE(traced.stats.iterations.empty());
-  EXPECT_EQ(traced.stats.iterations.front().direction, Direction::kPull);
-  EXPECT_EQ(traced.stats.iterations.front().active_vertices, n);
-  EXPECT_EQ(traced.stats.iterations.back().converged_vertices, n);
-  EXPECT_GT(traced.stats.events.skipped_converged, 0u);
-}
-
-// Caller labels need not follow the v + 1 rule, so thrifty_propagate
-// must never pointer-jump.  Path 0-1-2 and edge 3-4, caller labels
-// {4, 6, 7 | 1, 2}: vertex 0's label 4 names vertex 3, which lies in the
-// other component and holds 1.  A jump would hand 0 that label and merge
-// the two components.
-TEST(ThriftyPropagate, NeverJumpsAcrossComponents) {
-  const CsrGraph g =
-      graph::build_csr(graph::EdgeList{{0, 1}, {1, 2}, {3, 4}}, 5).graph;
-  const std::vector<Label> values{4, 6, 7, 1, 2};
-  const LabelArray initial(values.begin(), values.end());
-  for (const int threads : {1, 2, 4}) {
-    support::ThreadCountGuard guard(threads);
-    for (const bool instrument : {false, true}) {
-      CcOptions options;
-      options.instrument = instrument;
-      const CcResult result = thrifty_propagate(g, options, initial);
-      EXPECT_TRUE(same_partition(result.label_span(),
-                                 testing::reference_partition(g)))
-          << "threads=" << threads << " instrument=" << instrument;
-      EXPECT_EQ(std::vector<Label>(result.labels.begin(),
-                                   result.labels.end()),
-                (std::vector<Label>{4, 4, 4, 1, 1}))
-          << "threads=" << threads << " instrument=" << instrument;
-    }
   }
 }
 

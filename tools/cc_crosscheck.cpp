@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "reorder/reorder.hpp"
 #include "testing/crosscheck.hpp"
 #include "tools/tool_common.hpp"
 
@@ -28,20 +29,24 @@ namespace {
 
 using namespace thrifty;  // NOLINT(google-build-using-namespace)
 
-constexpr const char* kUsage =
-    "usage: cc_crosscheck [--scenarios=N] [--seed=S]\n"
-    "                     [--perturb=none|sampled|all] [--corpus=FILE]\n"
-    "                     [--repro-dir=DIR] [--no-minimize]\n"
-    "                     [--no-permutation] [--no-monotonicity]\n"
-    "                     [--no-service] [--no-sharded]\n"
-    "                     [--max-failures=N]\n"
-    "                     [--inject=split|merge]\n"
-    "                     [--inject-into=ALGO] [--list-families]\n"
-    "                     [--mmap-roundtrip]\n"
-    "                     [--reorder=none|degree|degree-asc|hub-cluster|\n"
-    "                                window|bfs|random]\n"
-    "                     [--shards=K]\n"
-    "       cc_crosscheck --replay=FILE\n";
+/// The usage text; its --reorder names come from
+/// reorder::all_order_kinds().
+std::string usage() {
+  return "usage: cc_crosscheck [--scenarios=N] [--seed=S]\n"
+         "                     [--perturb=none|sampled|all] [--corpus=FILE]\n"
+         "                     [--repro-dir=DIR] [--no-minimize]\n"
+         "                     [--no-permutation] [--no-monotonicity]\n"
+         "                     [--no-service] [--no-sharded]\n"
+         "                     [--max-failures=N]\n"
+         "                     [--inject=split|merge]\n"
+         "                     [--inject-into=ALGO] [--list-families]\n"
+         "                     [--mmap-roundtrip]\n"
+         "                     [--reorder=" +
+         reorder::order_kind_names("|") +
+         "]\n"
+         "                     [--shards=K]\n"
+         "       cc_crosscheck --replay=FILE\n";
+}
 
 std::vector<std::string> read_corpus(const std::string& path) {
   std::ifstream in(path);
@@ -82,7 +87,7 @@ int replay(const std::string& path) {
 int run(int argc, char** argv) {
   const tools::ArgParser args(argc, argv);
   if (!args.positional().empty() || args.has_flag("help")) {
-    std::fprintf(stderr, "%s", kUsage);
+    std::fprintf(stderr, "%s", usage().c_str());
     return args.has_flag("help") ? 0 : 2;
   }
   const auto unknown = args.unknown_flags(
@@ -92,7 +97,7 @@ int run(int argc, char** argv) {
        "mmap-roundtrip", "reorder", "shards", "replay", "help"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n%s", unknown.front().c_str(),
-                 kUsage);
+                 usage().c_str());
     return 2;
   }
 
@@ -121,12 +126,12 @@ int run(int argc, char** argv) {
   if (args.flag("shards")) {
     const auto shards = args.flag_int("shards", 0);
     if (shards < 2) {
-      std::fprintf(stderr, "--shards needs K >= 2\n%s", kUsage);
+      std::fprintf(stderr, "--shards needs K >= 2\n%s", usage().c_str());
       return 2;
     }
     if (!options.sharded_oracle) {
       std::fprintf(stderr, "--shards conflicts with --no-sharded\n%s",
-                   kUsage);
+                   usage().c_str());
       return 2;
     }
     options.forced_shards = static_cast<int>(shards);
@@ -135,7 +140,7 @@ int run(int argc, char** argv) {
     const auto kind = reorder::parse_order_kind(*order);
     if (!kind) {
       std::fprintf(stderr, "bad --reorder value '%s'\n%s", order->c_str(),
-                   kUsage);
+                   usage().c_str());
       return 2;
     }
     options.forced_reorder = *kind;
@@ -153,7 +158,7 @@ int run(int argc, char** argv) {
       options.perturb = testing::CrosscheckOptions::Perturb::kFull;
     } else {
       std::fprintf(stderr, "bad --perturb value '%s'\n%s", mode->c_str(),
-                   kUsage);
+                   usage().c_str());
       return 2;
     }
   }
@@ -161,7 +166,7 @@ int run(int argc, char** argv) {
     const auto kind = testing::parse_fault_kind(*inject);
     if (!kind) {
       std::fprintf(stderr, "bad --inject value '%s'\n%s", inject->c_str(),
-                   kUsage);
+                   usage().c_str());
       return 2;
     }
     options.fault.kind = *kind;
@@ -172,7 +177,8 @@ int run(int argc, char** argv) {
       return 2;
     }
   } else if (args.has_flag("inject-into")) {
-    std::fprintf(stderr, "--inject-into requires --inject\n%s", kUsage);
+    std::fprintf(stderr, "--inject-into requires --inject\n%s",
+                 usage().c_str());
     return 2;
   }
 

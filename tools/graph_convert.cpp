@@ -3,23 +3,23 @@
 // and reloaded quickly.
 //
 //   graph_convert <input|gen:spec> <output.{el,bin,mtx,shards}>
-//                 [--reorder=none|degree|degree-asc|hub-cluster|window|
-//                            bfs|random]
-//                 [--permute=identity|degree_desc|degree_asc|bfs|random]
-//                 [--seed=N] [--shards=K]
+//                 [--reorder=ORDER] [--seed=N] [--shards=K]
 //
-// --reorder relabels the graph with a reorder/ subsystem order before
-// writing, and drops the permutation next to the output as
-// <output>.perm (reorder/relabel.hpp sidecar format) so expensive
-// orders are computed once and labels can be mapped back by later runs.
-// --permute is the older spelling kept for existing scripts; it does
-// not write a sidecar.
+// --reorder relabels the graph with a reorder/ subsystem order (one of
+// reorder::all_order_kinds(), by its to_string name) before writing,
+// and drops the permutation next to the output as <output>.perm
+// (reorder/relabel.hpp sidecar format) so expensive orders are computed
+// once and labels can be mapped back by later runs.  --seed only
+// affects --reorder=random.
 //
 // --shards=K writes a sharded snapshot instead of a single file: the
 // graph is partitioned into K contiguous edge-balanced vertex ranges
 // and persisted as a <output>.shards manifest plus per-shard CSR and
 // cut-sidecar files (src/shard/manifest.hpp), ready for the streaming
 // solver (thrifty_cc --memory-budget).
+//
+// Every flag is parsed and checked before the input is loaded or
+// generated, so a bad value fails at once.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -61,68 +61,31 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: graph_convert <input|gen:spec> "
                  "<output.{el,bin,mtx,shards}> [--reorder=ORDER] "
-                 "[--permute=MODE] [--seed=N] [--shards=K]\n");
+                 "[--seed=N] [--shards=K]\n");
     return args.has_flag("help") ? 0 : 2;
   }
   const auto unknown =
-      args.unknown_flags({"reorder", "permute", "seed", "shards", "help"});
+      args.unknown_flags({"reorder", "seed", "shards", "help"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.front().c_str());
     return 2;
   }
-  if (args.flag("reorder") && args.flag("permute")) {
-    std::fprintf(stderr, "--reorder and --permute are exclusive\n");
-    return 2;
-  }
-
-  graph::CsrGraph g = tools::load_graph(args.positional()[0]);
-  std::fprintf(stderr, "loaded: %s\n", tools::summarize(g).c_str());
 
   const std::string& output = args.positional()[1];
+  auto kind = reorder::OrderKind::kNone;
   if (const auto text = args.flag("reorder")) {
-    const auto kind = reorder::parse_order_kind(*text);
-    if (!kind) {
-      std::fprintf(stderr,
-                   "unknown reorder '%s' (expected none | degree | "
-                   "degree-asc | hub-cluster | window | bfs | random)\n",
-                   text->c_str());
+    const auto parsed = reorder::parse_order_kind(*text);
+    if (!parsed) {
+      std::fprintf(stderr, "unknown reorder '%s' (expected %s)\n",
+                   text->c_str(),
+                   reorder::order_kind_names(" | ").c_str());
       return 2;
     }
-    if (*kind != reorder::OrderKind::kNone) {
-      const reorder::Permutation perm = reorder::make_order(
-          g, *kind,
-          static_cast<std::uint64_t>(args.flag_int("seed", 1)));
-      g = reorder::apply_permutation(g, perm);
-      const std::string sidecar = output + ".perm";
-      reorder::write_permutation_file(sidecar, perm);
-      std::fprintf(stderr, "applied %s order, permutation: %s\n",
-                   reorder::to_string(*kind), sidecar.c_str());
-    }
+    kind = *parsed;
   }
-
-  const std::string mode = args.flag("permute").value_or("identity");
-  if (mode != "identity") {
-    reorder::Permutation perm;
-    if (mode == "degree_desc") {
-      perm = reorder::degree_descending_order(g);
-    } else if (mode == "degree_asc") {
-      perm = reorder::degree_ascending_order(g);
-    } else if (mode == "bfs") {
-      perm = reorder::bfs_order(g);
-    } else if (mode == "random") {
-      perm = reorder::random_order(
-          g.num_vertices(),
-          static_cast<std::uint64_t>(args.flag_int("seed", 1)));
-    } else {
-      std::fprintf(stderr, "unknown --permute mode '%s'\n", mode.c_str());
-      return 2;
-    }
-    g = reorder::apply_permutation(g, perm);
-    std::fprintf(stderr, "applied %s permutation\n", mode.c_str());
-  }
-
+  const auto seed = static_cast<std::uint64_t>(args.flag_int("seed", 1));
+  const auto shards = args.flag_int("shards", 0);
   if (args.flag("shards")) {
-    const auto shards = args.flag_int("shards", 0);
     if (shards < 1) {
       std::fprintf(stderr, "--shards must be a positive shard count\n");
       return 2;
@@ -133,6 +96,24 @@ int run(int argc, char** argv) {
                    "(manifest plus per-shard payload files)\n");
       return 2;
     }
+  } else if (tools::is_shard_manifest(output)) {
+    std::fprintf(stderr, "a .shards output requires --shards=K\n");
+    return 2;
+  }
+
+  graph::CsrGraph g = tools::load_graph(args.positional()[0]);
+  std::fprintf(stderr, "loaded: %s\n", tools::summarize(g).c_str());
+
+  if (kind != reorder::OrderKind::kNone) {
+    const reorder::Permutation perm = reorder::make_order(g, kind, seed);
+    g = reorder::apply_permutation(g, perm);
+    const std::string sidecar = output + ".perm";
+    reorder::write_permutation_file(sidecar, perm);
+    std::fprintf(stderr, "applied %s order, permutation: %s\n",
+                 reorder::to_string(kind), sidecar.c_str());
+  }
+
+  if (args.flag("shards")) {
     const shard::ShardedGraph sharded =
         shard::partition_shards(g, static_cast<int>(shards));
     shard::write_sharded_snapshot(output, sharded);
@@ -143,10 +124,6 @@ int run(int argc, char** argv) {
         output.c_str(), sharded.num_shards(), sharded.num_slots(),
         static_cast<unsigned long long>(sharded.total_cut_pairs()));
     return 0;
-  }
-  if (tools::is_shard_manifest(output)) {
-    std::fprintf(stderr, "a .shards output requires --shards=K\n");
-    return 2;
   }
 
   if (ends_with(output, ".bin")) {

@@ -2,8 +2,7 @@
 //
 //   thrifty_cc <graph> [--algo=thrifty] [--threshold=0.01] [--trials=1]
 //              [--out=labels.txt] [--verify] [--stats] [--list] [--mmap]
-//              [--reorder=none|degree|degree-asc|hub-cluster|window|
-//                         bfs|random] [--seed=S]
+//              [--reorder=ORDER] [--seed=S]
 //              [--shards=K] [--memory-budget=BYTES[k|m|g]]
 //
 // <graph> is a file (.el/.txt edge list, .bin binary CSR, .mtx Matrix
@@ -11,13 +10,17 @@
 // tools/tool_common.hpp).  --out writes one "vertex label" line per
 // vertex.  --list prints the available algorithms and exits.  --mmap
 // loads .bin snapshots as zero-copy mapped views.  --reorder solves on
-// a relabelled copy of the graph (the locality-optimized path) and maps
+// a relabelled copy of the graph (the locality-optimized path; ORDER is
+// one of reorder::all_order_kinds(), by its to_string name) and maps
 // the labels back to original ids, reporting the reorder cost
 // separately from solve time so amortization stays honest; --seed only
 // affects --reorder=random.
 //
 // --stats prints each iteration's direction, active vertices and label
 // changes from the solve's RunStats.
+//
+// Every flag is parsed and checked before the graph is loaded or
+// generated, so a bad value fails at once.
 //
 // --shards=K runs the sharded solver (src/shard/) on an in-memory
 // K-way decomposition of the input.  A <snapshot>.shards manifest as
@@ -212,10 +215,34 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  const double threshold = args.flag_double("threshold", -1.0);
+  const auto trials =
+      std::max<std::int64_t>(1, args.flag_int("trials", 1));
+  const auto seed = static_cast<std::uint64_t>(args.flag_int("seed", 1));
+
   const bool manifest_input = tools::is_shard_manifest(args.positional()[0]);
   if (manifest_input || args.flag("shards") ||
       args.flag("memory-budget")) {
     return run_sharded(args, manifest_input);
+  }
+
+  const std::string algo_name = args.flag("algo").value_or("thrifty");
+  const auto* entry = baselines::find_algorithm(algo_name);
+  if (entry == nullptr) {
+    std::fprintf(stderr, "unknown algorithm '%s' (try --list)\n",
+                 algo_name.c_str());
+    return 2;
+  }
+  auto order_kind = reorder::OrderKind::kNone;
+  if (const auto text = args.flag("reorder")) {
+    const auto parsed = reorder::parse_order_kind(*text);
+    if (!parsed) {
+      std::fprintf(stderr, "unknown reorder '%s' (expected %s)\n",
+                   text->c_str(),
+                   reorder::order_kind_names(" | ").c_str());
+      return 2;
+    }
+    order_kind = *parsed;
   }
 
   tools::LoadOptions load_options;
@@ -225,37 +252,15 @@ int run(int argc, char** argv) {
   std::fprintf(stderr, "loaded: %s%s\n", tools::summarize(g).c_str(),
                g.owns_memory() ? "" : " [mmap]");
 
-  const std::string algo_name = args.flag("algo").value_or("thrifty");
-  const auto* entry = baselines::find_algorithm(algo_name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "unknown algorithm '%s' (try --list)\n",
-                 algo_name.c_str());
-    return 2;
-  }
-
   // The locality-optimized path: relabel, solve the reordered graph,
   // map labels back to original ids afterwards.  Reorder cost is timed
   // and reported apart from solve time.
-  auto order_kind = reorder::OrderKind::kNone;
-  if (const auto text = args.flag("reorder")) {
-    const auto parsed = reorder::parse_order_kind(*text);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "unknown reorder '%s' (expected none | degree | "
-                   "degree-asc | hub-cluster | window | bfs | random)\n",
-                   text->c_str());
-      return 2;
-    }
-    order_kind = *parsed;
-  }
   reorder::Permutation order;
   graph::CsrGraph reordered;
   double order_ms = 0.0;
   double apply_ms = 0.0;
   const graph::CsrGraph& solve_graph = [&]() -> const graph::CsrGraph& {
     if (order_kind == reorder::OrderKind::kNone) return g;
-    const auto seed =
-        static_cast<std::uint64_t>(args.flag_int("seed", 1));
     support::Timer timer;
     order = reorder::make_order(g, order_kind, seed);
     order_ms = timer.elapsed_ms();
@@ -267,10 +272,7 @@ int run(int argc, char** argv) {
 
   core::CcOptions options;
   options.instrument = args.has_flag("stats");
-  const double threshold = args.flag_double("threshold", -1.0);
   core::CcResult result;
-  const auto trials =
-      std::max<std::int64_t>(1, args.flag_int("trials", 1));
   for (std::int64_t t = 0; t < trials; ++t) {
     const core::CcOptions trial_options = [&] {
       if (threshold >= 0.0) {
