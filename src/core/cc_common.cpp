@@ -130,21 +130,6 @@ std::vector<std::uint64_t> component_sizes(std::span<const Label> labels) {
   return sizes;
 }
 
-std::vector<LargestComponent> component_census(
-    std::span<const Label> labels) {
-  const std::vector<std::uint64_t> sizes =
-      class_sizes(canonical_labels(labels));
-  std::vector<LargestComponent> census;
-  for (std::size_t v = 0; v < sizes.size(); ++v) {
-    if (sizes[v] != 0) census.push_back({labels[v], sizes[v]});
-  }
-  std::sort(census.begin(), census.end(),
-            [](const LargestComponent& a, const LargestComponent& b) {
-              return a.size != b.size ? a.size > b.size : a.label < b.label;
-            });
-  return census;
-}
-
 LargestComponent largest_component(std::span<const Label> labels) {
   const std::vector<std::uint64_t> sizes =
       class_sizes(canonical_labels(labels));

@@ -132,11 +132,4 @@ struct LargestComponent {
 [[nodiscard]] std::vector<std::uint64_t> component_sizes(
     std::span<const graph::Label> labels);
 
-/// Full component census: every label class with its size, sorted by
-/// size descending (ties broken by smaller label).  The labelled variant
-/// of component_sizes, for consumers that must answer "which component"
-/// as well as "how large" (the serving layer's top-k listing).
-[[nodiscard]] std::vector<LargestComponent> component_census(
-    std::span<const graph::Label> labels);
-
 }  // namespace thrifty::core

@@ -8,6 +8,7 @@
 #include "core/thrifty.hpp"
 #include "graph/builder.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 
 namespace thrifty::serve {
 
@@ -20,15 +21,36 @@ using graph::VertexId;
 // ---------------------------------------------------------------------------
 // Snapshot
 
+namespace {
+
+/// Fills sizes[r] with the size of the class rooted at r (0 where r is
+/// no root) and returns the number of classes.  Precondition: the
+/// labels are canonical, so every label is below labels.size().
+std::uint64_t count_sizes(std::span<const Label> labels,
+                          std::vector<std::uint32_t>& sizes) {
+  sizes.assign(labels.size(), 0);
+  std::uint64_t count = 0;
+  for (const Label l : labels) {
+    THRIFTY_EXPECTS(l < labels.size());
+    if (sizes[l]++ == 0) ++count;
+  }
+  return count;
+}
+
+}  // namespace
+
 Snapshot::Snapshot(std::uint64_t epoch, std::vector<Label> labels)
     : epoch_(epoch), labels_(std::move(labels)) {
-  const auto census = core::component_census(labels_);
-  census_.reserve(census.size());
-  size_by_label_.reserve(census.size() * 2);
-  for (const core::LargestComponent& c : census) {
-    census_.push_back({c.label, c.size});
-    size_by_label_.emplace(c.label, c.size);
-  }
+  count_ = count_sizes(labels_, sizes_);
+}
+
+Snapshot::Snapshot(std::uint64_t epoch, std::vector<Label> labels,
+                   std::vector<std::uint32_t> sizes, std::uint64_t count)
+    : epoch_(epoch),
+      labels_(std::move(labels)),
+      sizes_(std::move(sizes)),
+      count_(count) {
+  THRIFTY_EXPECTS(sizes_.size() == labels_.size());
 }
 
 bool Snapshot::same_component(VertexId u, VertexId v) const {
@@ -38,13 +60,24 @@ bool Snapshot::same_component(VertexId u, VertexId v) const {
 
 std::uint64_t Snapshot::component_size(VertexId v) const {
   THRIFTY_EXPECTS(v < labels_.size());
-  return size_by_label_.at(labels_[v]);
+  return sizes_[labels_[v]];
 }
 
 std::vector<ComponentInfo> Snapshot::top_components(std::uint64_t k) const {
-  const auto count = std::min<std::uint64_t>(k, census_.size());
-  return {census_.begin(),
-          census_.begin() + static_cast<std::ptrdiff_t>(count)};
+  std::vector<ComponentInfo> roots;
+  roots.reserve(count_);
+  for (std::size_t r = 0; r < sizes_.size(); ++r) {
+    if (sizes_[r] != 0) roots.push_back({static_cast<Label>(r), sizes_[r]});
+  }
+  const auto top =
+      static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(k, roots.size()));
+  std::partial_sort(roots.begin(), roots.begin() + top, roots.end(),
+                    [](const ComponentInfo& a, const ComponentInfo& b) {
+                      return a.size != b.size ? a.size > b.size
+                                              : a.label < b.label;
+                    });
+  roots.resize(static_cast<std::size_t>(top));
+  return roots;
 }
 
 // ---------------------------------------------------------------------------
@@ -63,6 +96,7 @@ ConnectivityService::ConnectivityService(graph::CsrGraph graph,
   const std::vector<Label> canonical =
       core::canonical_labels(solved.label_span());
   core::copy_labels(canonical, {forest_.data(), forest_.size()});
+  reset_sizes_locked();
   publish_locked();
 }
 
@@ -113,19 +147,41 @@ IngestReport ConnectivityService::ingest_batch(
     return report;
   }
 
-  const std::uint64_t components_before = snapshot()->component_count();
-
   // Parallel min-hooking of the batch into the private forest.  The
   // forest is canonical at rest and min-hooking keeps roots at class
   // minima, so after the compress sweep it is canonical again — ready
-  // to publish without a relabelling pass.
+  // to publish without a relabelling pass.  A batch below the serial
+  // cutoff links on the calling thread.
   const auto batch = static_cast<std::int64_t>(accepted.size());
-#pragma omp parallel for schedule(dynamic, 256)
+#pragma omp parallel for num_threads(support::threads_for(accepted.size())) \
+    schedule(dynamic, 256)
   for (std::int64_t i = 0; i < batch; ++i) {
     baselines::hook::link(accepted[static_cast<std::size_t>(i)].u,
                           accepted[static_cast<std::size_t>(i)].v, forest_);
   }
   baselines::hook::compress(forest_, num_vertices_);
+
+  // Every class the batch merged holds an endpoint, so the endpoints'
+  // old roots (the published labels) include every root hooked away.
+  // The compressed forest names each one's new root, which was an old
+  // root itself and keeps its size entry; zeroing the moved size makes
+  // a second visit of the same old root a no-op.
+  const std::uint64_t components_before = components_;
+  const SnapshotPtr before = snapshot();
+  const std::span<const Label> old_labels = before->labels();
+  const auto hand_over = [&](VertexId x) {
+    const Label old_root = old_labels[x];
+    const Label root = forest_[old_root];
+    if (root != old_root && sizes_[old_root] != 0) {
+      sizes_[root] += sizes_[old_root];
+      sizes_[old_root] = 0;
+      --components_;
+    }
+  };
+  for (const Edge& e : accepted) {
+    hand_over(e.u);
+    hand_over(e.v);
+  }
 
   overlay_.insert(overlay_.end(), accepted.begin(), accepted.end());
 
@@ -137,9 +193,8 @@ IngestReport ConnectivityService::ingest_batch(
     publish_locked();
   }
 
-  const SnapshotPtr now = snapshot();
-  report.epoch = now->epoch();
-  report.merges = components_before - now->component_count();
+  report.epoch = snapshot()->epoch();
+  report.merges = components_before - components_;
   return report;
 }
 
@@ -161,17 +216,23 @@ void ConnectivityService::recompact_locked() {
   const std::vector<Label> canonical =
       core::canonical_labels(solved.label_span());
   core::copy_labels(canonical, {forest_.data(), forest_.size()});
+  reset_sizes_locked();
   ++recompactions_;
   publish_locked();
+}
+
+void ConnectivityService::reset_sizes_locked() {
+  components_ = count_sizes({forest_.data(), forest_.size()}, sizes_);
 }
 
 void ConnectivityService::publish_locked() {
   std::vector<Label> labels(forest_.size());
   core::copy_labels({forest_.data(), forest_.size()}, labels);
   // The release store pairs with the acquire load in snapshot(): every
-  // forest write above happens-before any reader's use of this epoch.
-  current_.store(std::make_shared<const Snapshot>(next_epoch_++,
-                                                  std::move(labels)),
+  // forest and size write above happens-before any reader's use of
+  // this epoch.
+  current_.store(std::make_shared<const Snapshot>(
+                     next_epoch_++, std::move(labels), sizes_, components_),
                  std::memory_order_release);
 }
 
@@ -227,7 +288,7 @@ ServiceStats ConnectivityService::stats() const {
   stats.rejected_edges = rejected_edges_;
   stats.pending_edges = overlay_.size();
   stats.base_edges = base_.num_undirected_edges();
-  stats.components = now->component_count();
+  stats.components = components_;
   stats.num_vertices = num_vertices_;
   return stats;
 }

@@ -15,7 +15,11 @@
 //     canonical labels (every root the minimum vertex id of its class)
 //     and min-hooking always points the larger root at the smaller,
 //     the compressed forest is itself canonical — no relabelling pass
-//     is needed between ingest and publication.
+//     is needed between ingest and publication.  Component sizes live
+//     in a dense per-root array beside the forest: each old root the
+//     batch hooked away hands its size to its new root, so keeping the
+//     sizes and the component count exact costs O(batch), and
+//     publication is two n-sized copies.
 //   * A staleness threshold (inserted edges since the last static
 //     solve) triggers periodic full recompaction: the overlay is folded
 //     into the CSR via the counting-sort builder and Thrifty re-solves,
@@ -39,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cc_common.hpp"
@@ -64,7 +67,7 @@ struct ServeOptions {
   core::CcOptions cc;
 };
 
-/// One component in a census listing.
+/// One component in a top_components listing.
 struct ComponentInfo {
   graph::Label label = 0;
   std::uint64_t size = 0;
@@ -73,14 +76,20 @@ struct ComponentInfo {
                          const ComponentInfo&) = default;
 };
 
-/// An immutable connectivity epoch: canonical labels plus the derived
-/// size indexes.  Snapshots are never mutated after publication, so any
-/// number of readers may query one concurrently, and a reader holding a
-/// pinned snapshot keeps answering from the same consistent partition
-/// regardless of concurrent ingest.
+/// An immutable connectivity epoch: canonical labels plus a dense
+/// per-root size array and the component count.  Snapshots are never
+/// mutated after publication, so any number of readers may query one
+/// concurrently, and a reader holding a pinned snapshot keeps answering
+/// from the same consistent partition regardless of concurrent ingest.
 class Snapshot {
  public:
+  /// Counts the sizes from the labels.  Precondition: the labels are
+  /// canonical (labels[v] is the smallest vertex id of v's component).
   Snapshot(std::uint64_t epoch, std::vector<graph::Label> labels);
+  /// Takes sizes the caller kept: sizes[r] is the size of the component
+  /// rooted at r and 0 where r is no root; `count` roots are nonzero.
+  Snapshot(std::uint64_t epoch, std::vector<graph::Label> labels,
+           std::vector<std::uint32_t> sizes, std::uint64_t count);
 
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] graph::VertexId num_vertices() const {
@@ -94,11 +103,10 @@ class Snapshot {
   [[nodiscard]] bool same_component(graph::VertexId u,
                                     graph::VertexId v) const;
   [[nodiscard]] std::uint64_t component_size(graph::VertexId v) const;
-  [[nodiscard]] std::uint64_t component_count() const {
-    return census_.size();
-  }
-  /// The k largest components, size-descending (fewer when the graph
-  /// has fewer components).
+  [[nodiscard]] std::uint64_t component_count() const { return count_; }
+  /// The k largest components, size-descending with ties by smaller
+  /// label (fewer when the graph has fewer components).  O(n): a scan
+  /// of the size array and a partial sort of its roots.
   [[nodiscard]] std::vector<ComponentInfo> top_components(
       std::uint64_t k) const;
 
@@ -106,9 +114,9 @@ class Snapshot {
   std::uint64_t epoch_;
   /// Canonical: labels_[v] is the smallest vertex id in v's component.
   std::vector<graph::Label> labels_;
-  /// All components, size-descending (core::component_census).
-  std::vector<ComponentInfo> census_;
-  std::unordered_map<graph::Label, std::uint64_t> size_by_label_;
+  /// sizes_[r]: size of the component rooted at r, 0 for non-roots.
+  std::vector<std::uint32_t> sizes_;
+  std::uint64_t count_ = 0;
 };
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
@@ -198,7 +206,11 @@ class ConnectivityService {
   /// Re-derives base_ from accumulated edges, re-solves with Thrifty,
   /// resets the forest.  Caller holds writer_mutex_.
   void recompact_locked();
-  /// Publishes forest_ as the next epoch.  Caller holds writer_mutex_.
+  /// Recounts sizes_ and components_ from the canonical forest_.
+  /// Caller holds writer_mutex_.
+  void reset_sizes_locked();
+  /// Publishes forest_ and sizes_ as the next epoch.  Caller holds
+  /// writer_mutex_.
   void publish_locked();
   [[nodiscard]] graph::EdgeList accumulated_edges_locked() const;
   [[nodiscard]] std::uint64_t staleness_trigger_locked() const;
@@ -207,12 +219,15 @@ class ConnectivityService {
   graph::VertexId num_vertices_ = 0;
 
   /// Writer state, guarded by writer_mutex_: the base CSR of the last
-  /// static solve, the overlay of edges inserted since, and the private
-  /// union-find forest (canonical between calls; readers never see it).
+  /// static solve, the overlay of edges inserted since, the private
+  /// union-find forest (canonical between calls; readers never see it)
+  /// and its per-root sizes and component count, exact between calls.
   mutable std::mutex writer_mutex_;
   graph::CsrGraph base_;
   graph::EdgeList overlay_;
   core::LabelArray forest_;
+  std::vector<std::uint32_t> sizes_;
+  std::uint64_t components_ = 0;
   std::uint64_t next_epoch_ = 0;
   std::uint64_t recompactions_ = 0;
   std::uint64_t ingested_edges_ = 0;

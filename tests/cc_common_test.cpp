@@ -1,5 +1,6 @@
 // Tests for the shared CC API: label utilities, atomic_min, union-find,
-// and the verifier (including failure injection).
+// and the verifier (including failure injection).  The census oracle
+// also checks the serving snapshot's top-k listing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "gen/combine.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
+#include "serve/service.hpp"
 #include "support/parallel.hpp"
 
 namespace thrifty::core {
@@ -160,12 +162,13 @@ std::vector<std::vector<Label>> label_cases() {
   return cases;
 }
 
-bool same_census(const std::vector<LargestComponent>& a,
+bool same_census(const std::vector<serve::ComponentInfo>& a,
                  const std::vector<LargestComponent>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const LargestComponent& x, const LargestComponent& y) {
-                      return x.label == y.label && x.size == y.size;
-                    });
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const serve::ComponentInfo& x, const LargestComponent& y) {
+        return x.label == y.label && x.size == y.size;
+      });
 }
 
 TEST(DenseLabelHelpers, MatchMapOraclesAtEveryThreadCount) {
@@ -181,8 +184,14 @@ TEST(DenseLabelHelpers, MatchMapOraclesAtEveryThreadCount) {
       EXPECT_EQ(compact_labels(labels), oracle::compact(labels));
       EXPECT_EQ(component_sizes(labels), oracle::sizes(labels));
       const auto census = oracle::census(labels);
-      EXPECT_TRUE(same_census(component_census(labels), census));
       EXPECT_EQ(count_components(labels), census.size());
+      // The serving snapshot lists the components of the canonical
+      // form of the same labels.
+      const std::vector<Label> canonical = oracle::canonical(labels);
+      const serve::Snapshot snapshot(0, canonical);
+      EXPECT_TRUE(same_census(snapshot.top_components(labels.size()),
+                              oracle::census(canonical)));
+      EXPECT_EQ(snapshot.component_count(), census.size());
       const LargestComponent giant = largest_component(labels);
       const LargestComponent expected =
           census.empty() ? LargestComponent{} : census.front();
@@ -221,15 +230,22 @@ TEST(DenseLabelHelpers, CopyAndCountEqualMatchPlainLoopsOnUnevenSlices) {
 }
 
 TEST(DenseLabelHelpers, CensusTiesKeepSizeThenLabelOrder) {
-  const std::vector<Label> labels{9, 4, 9, 4, 2, 6, 6, 1};
-  const auto census = component_census(labels);
+  // The canonical form of {9, 4, 9, 4, 2, 6, 6, 1}.
+  const std::vector<Label> labels{0, 1, 0, 1, 4, 5, 5, 7};
+  const serve::Snapshot snapshot(0, labels);
+  const auto census = snapshot.top_components(labels.size());
   const std::vector<std::pair<Label, std::uint64_t>> expected{
-      {4, 2}, {6, 2}, {9, 2}, {1, 1}, {2, 1}};
+      {0, 2}, {1, 2}, {5, 2}, {4, 1}, {7, 1}};
   ASSERT_EQ(census.size(), expected.size());
   for (std::size_t i = 0; i < census.size(); ++i) {
     EXPECT_EQ(census[i].label, expected[i].first) << i;
     EXPECT_EQ(census[i].size, expected[i].second) << i;
   }
+  // A shorter listing is the same order's prefix.
+  const auto top = snapshot.top_components(3);
+  EXPECT_TRUE(std::equal(top.begin(), top.end(), census.begin(),
+                         census.begin() + 3));
+  EXPECT_EQ(top.size(), 3u);
 }
 
 TEST(UnionFindOracle, BasicUnions) {

@@ -1,5 +1,6 @@
 // Tests for the serving layer (src/serve): service semantics against the
-// union-find reference after every ingest batch and recompaction,
+// union-find reference after every ingest batch and recompaction
+// (partition, per-vertex sizes, component count, top listing, merges),
 // epoch-swap snapshot isolation, degenerate graphs, the staleness /
 // recompaction policy, the line protocol and its input bounds, the Unix
 // socket transport's session cap and shutdown, and a concurrent
@@ -13,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "serve/socket_server.hpp"
+#include "support/parallel.hpp"
 
 namespace thrifty::serve {
 namespace {
@@ -114,6 +118,144 @@ TEST(Service, IngestBatchesMatchReferenceAfterEveryBatch) {
   }
   EXPECT_EQ(service.component_count(), 1u);
   EXPECT_TRUE(service.same_component(0, n - 1));
+}
+
+/// What every query must answer on the partition of (edges, n): each
+/// vertex's component size and the full top listing (size descending,
+/// ties by smaller label; its length is the component count).
+struct Answers {
+  std::vector<std::uint64_t> size_of;
+  std::vector<ComponentInfo> top;
+};
+
+/// The oracle runs on one thread whatever the team width under test.
+Answers reference_answers(const EdgeList& edges, VertexId n) {
+  const support::ThreadCountGuard serial(1);
+  const std::vector<Label> canonical =
+      core::canonical_labels(reference_labels(edges, n));
+  std::vector<std::uint64_t> sizes(n, 0);
+  for (const Label l : canonical) ++sizes[l];
+  Answers answers;
+  for (VertexId v = 0; v < n; ++v) {
+    answers.size_of.push_back(sizes[canonical[v]]);
+    if (sizes[v] != 0) answers.top.push_back({v, sizes[v]});
+  }
+  std::stable_sort(answers.top.begin(), answers.top.end(),
+                   [](const ComponentInfo& a, const ComponentInfo& b) {
+                     return a.size > b.size;  // labels already ascending
+                   });
+  return answers;
+}
+
+void expect_answers(const ConnectivityService& service,
+                    const Answers& want) {
+  const SnapshotPtr snapshot = service.snapshot();
+  const VertexId n = snapshot->num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(snapshot->component_size(v), want.size_of[v]) << "v=" << v;
+  }
+  EXPECT_EQ(snapshot->component_count(), want.top.size());
+  EXPECT_EQ(snapshot->top_components(n), want.top);
+  EXPECT_EQ(service.stats().components, want.top.size());
+}
+
+// Differential check of the per-root sizes the writer keeps beside its
+// forest: after every batch, each vertex's size, the component count,
+// the full top listing and the report's merges equal those of the
+// reference partition of the union.  Batches mix fresh edges with
+// duplicates, edges inside one component, self loops and out-of-range
+// endpoints; one chains four old roots, so an old root hooks onto an
+// old root that is itself hooked away; one is large enough to link on
+// the whole team.  A later small batch trips the automatic
+// recompaction, and an explicit recompact() ends the run.
+TEST(Service, SizesCountAndMergesMatchReferenceAfterEveryBatch) {
+  const VertexId n = 2048;
+  const auto big = static_cast<std::uint64_t>(support::kSerialCutoff);
+  for (const int threads : {1, 4}) {
+    const support::ThreadCountGuard guard(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mt19937 rng(7);
+    const auto vertex = [&] { return static_cast<VertexId>(rng() % n); };
+    const auto fresh = [&] {
+      Edge e{vertex(), vertex()};
+      while (e.u == e.v) e.v = vertex();
+      return e;
+    };
+    EdgeList all;
+    for (int i = 0; i < 600; ++i) all.push_back(fresh());
+    // After round 7 the overlay holds the big batch, six regular
+    // batches of 60 or 61 accepted edges and the 3-edge chain, at most
+    // big + 369 edges; round 8 adds at least 60 and trips.
+    ServeOptions options;
+    options.staleness_edges = big + 400;
+    ConnectivityService service(make_graph(all, n), options);
+    Answers want = reference_answers(all, n);
+    expect_answers(service, want);
+
+    std::uint64_t auto_recompactions = 0;
+    for (int round = 0; round < 12; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
+      const SnapshotPtr before = service.snapshot();
+      EdgeList batch;
+      if (round == 3) {
+        // Many duplicates of a few hundred edges: a batch the team links.
+        EdgeList pool;
+        for (int i = 0; i < 200; ++i) pool.push_back(fresh());
+        while (batch.size() < big) batch.push_back(pool[rng() % pool.size()]);
+      } else if (round == 6) {
+        // Chain four old roots in link order: r3 -> r2 -> r1 -> r0.
+        std::vector<Label> roots;
+        for (const ComponentInfo& c : before->top_components(4)) {
+          roots.push_back(c.label);
+        }
+        ASSERT_EQ(roots.size(), 4u);
+        std::sort(roots.begin(), roots.end());
+        batch = {{roots[3], roots[2]}, {roots[2], roots[1]},
+                 {roots[1], roots[0]}};
+      } else {
+        for (int i = 0; i < 48; ++i) batch.push_back(fresh());
+        for (int i = 0; i < 8; ++i) batch.push_back(batch[rng() % 48]);
+        for (int i = 0; i < 4; ++i) batch.push_back(all[rng() % all.size()]);
+        // An edge inside one existing component.
+        const auto labels = before->labels();
+        const VertexId a = all[rng() % all.size()].u;
+        for (VertexId b = 0; b < n; ++b) {
+          if (b != a && labels[b] == labels[a]) {
+            batch.push_back({b, a});
+            break;
+          }
+        }
+      }
+      const VertexId x = vertex();
+      batch.push_back({x, x});
+      batch.push_back({x, n + 5});
+      batch.push_back({n, n});
+
+      EdgeList accepted;
+      for (const Edge& e : batch) {
+        if (e.u < n && e.v < n && e.u != e.v) accepted.push_back(e);
+      }
+      const IngestReport report = service.ingest_batch(batch);
+      all.insert(all.end(), accepted.begin(), accepted.end());
+      EXPECT_EQ(report.accepted, accepted.size());
+      EXPECT_EQ(report.rejected, 2u);
+      EXPECT_EQ(report.self_loops, 1u);
+      const std::uint64_t count_before = want.top.size();
+      want = reference_answers(all, n);
+      EXPECT_EQ(report.merges, count_before - want.top.size());
+      if (round == 6) {
+        EXPECT_GE(report.merges, 3u);
+      }
+      EXPECT_EQ(report.recompacted, round == 8);
+      auto_recompactions += report.recompacted ? 1 : 0;
+      expect_answers(service, want);
+    }
+    EXPECT_EQ(auto_recompactions, 1u);
+    EXPECT_GT(service.stats().pending_edges, 0u);
+    (void)service.recompact();
+    EXPECT_EQ(service.stats().pending_edges, 0u);
+    expect_answers(service, want);
+  }
 }
 
 TEST(Service, RecompactionPreservesThePartition) {
@@ -488,7 +630,8 @@ TEST(ServiceSocket, CapsSessionsSurvivesSignalsAndJoinsBeforeReturning) {
 // ingest thread pushes batches and recompacts.  Readers assert
 // invariants that hold within any single snapshot regardless of
 // concurrent writes: canonical labels, monotone non-increasing
-// component counts across epochs, and query/label agreement.
+// component counts across epochs, query/label agreement, and a top
+// listing of roots in size order that agrees with component_size.
 TEST(ServiceStress, ConcurrentQueriesDuringIngest) {
   const VertexId n = 512;
   EdgeList initial;
@@ -522,8 +665,19 @@ TEST(ServiceStress, ConcurrentQueriesDuringIngest) {
                   snapshot->labels()[v] == snapshot->labels()[v ^ 1u]);
         ASSERT_LE(snapshot->labels()[v], v);  // canonical: min id
         ASSERT_GE(snapshot->component_size(v), 1u);
+        const auto top = snapshot->top_components(3);
+        ASSERT_EQ(top.size(),
+                  std::min<std::uint64_t>(3, snapshot->component_count()));
+        for (std::size_t i = 0; i < top.size(); ++i) {
+          ASSERT_EQ(snapshot->labels()[top[i].label], top[i].label);
+          ASSERT_EQ(snapshot->component_size(top[i].label), top[i].size);
+          if (i > 0) {
+            ASSERT_GE(top[i - 1].size, top[i].size);
+          }
+        }
+        ASSERT_GE(top.front().size, snapshot->component_size(v));
         u = (u + 1) % n;
-        local += 4;
+        local += 5;
       }
       queries.fetch_add(local, std::memory_order_relaxed);
     });
