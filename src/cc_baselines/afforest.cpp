@@ -21,19 +21,17 @@ core::CcResult afforest_cc(const graph::CsrGraph& graph,
   support::Timer timer;
   if (n == 0) return result;
 
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) comp[v] = v;
+  support::parallel_for(n, [&](VertexId v) { comp[v] = v; });
 
   // Phase 1: neighbour sampling — link each vertex with its first
   // `sample_rounds` neighbours only.
   const auto rounds = static_cast<EdgeOffset>(
       std::max(0, options.sample_rounds));
   for (EdgeOffset r = 0; r < rounds; ++r) {
-#pragma omp parallel for schedule(dynamic, 1024)
-    for (VertexId v = 0; v < n; ++v) {
+    support::parallel_for_dynamic(n, [&](VertexId v) {
       const auto neighbors = graph.neighbors(v);
       if (neighbors.size() > r) hook::link(v, neighbors[r], comp);
-    }
+    });
     hook::compress(comp, n);
   }
 
@@ -45,7 +43,8 @@ core::CcResult afforest_cc(const graph::CsrGraph& graph,
 
   // Phase 3: finish the unsampled edges of vertices outside the giant
   // component; members of the giant component are skipped entirely.
-#pragma omp parallel for schedule(dynamic, 256)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + graph.num_directed_edges())) schedule(dynamic, 256)
   for (VertexId v = 0; v < n; ++v) {
     if (giant && core::load_label(comp[v]) == *giant) continue;
     const auto neighbors = graph.neighbors(v);

@@ -4,6 +4,7 @@
 
 #include "frontier/bitmap.hpp"
 #include "frontier/sliding_queue.hpp"
+#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::baselines {
@@ -37,7 +38,8 @@ std::uint64_t bottom_up_step(const graph::CsrGraph& g,
                              frontier::Bitmap& next) {
   const VertexId n = g.num_vertices();
   std::uint64_t awake = 0;
-#pragma omp parallel for schedule(dynamic, 1024) reduction(+ : awake)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + g.num_directed_edges())) schedule(dynamic, 1024) reduction(+ : awake)
   for (VertexId v = 0; v < n; ++v) {
     if (core::load_label(labels[v]) != kUnvisited) continue;
     for (const VertexId u : g.neighbors(v)) {
@@ -52,14 +54,17 @@ std::uint64_t bottom_up_step(const graph::CsrGraph& g,
   return awake;
 }
 
-/// One top-down step over the queue window.  Returns the edge mass
-/// (sum of degrees) of the newly discovered frontier.
+/// One top-down step over the queue window, whose edge mass is
+/// `window_edges`.  Returns the edge mass (sum of degrees) of the newly
+/// discovered frontier.
 std::uint64_t top_down_step(const graph::CsrGraph& g,
                             core::LabelArray& labels, Label component,
-                            frontier::SlidingQueue& queue) {
+                            frontier::SlidingQueue& queue,
+                            std::uint64_t window_edges) {
   const auto window = queue.window();
   std::uint64_t scout = 0;
-#pragma omp parallel reduction(+ : scout)
+#pragma omp parallel num_threads( \
+    support::threads_for(window.size() + window_edges)) reduction(+ : scout)
   {
     frontier::SlidingQueue::LocalBuffer buffer(queue);
 #pragma omp for schedule(dynamic, 64) nowait
@@ -107,7 +112,7 @@ void bfs_component(const graph::CsrGraph& g, core::LabelArray& labels,
       queue.reset();
       if (awake > 0) {
         const VertexId n = g.num_vertices();
-#pragma omp parallel
+#pragma omp parallel num_threads(support::threads_for(n))
         {
           frontier::SlidingQueue::LocalBuffer buffer(queue);
 #pragma omp for schedule(static) nowait
@@ -119,7 +124,7 @@ void bfs_component(const graph::CsrGraph& g, core::LabelArray& labels,
       queue.slide_window();
       scout = 0;
     } else {
-      scout = top_down_step(g, labels, component, queue);
+      scout = top_down_step(g, labels, component, queue, scout);
       queue.slide_window();
     }
   }
@@ -138,8 +143,7 @@ core::CcResult bfs_cc(const graph::CsrGraph& graph,
   support::Timer timer;
   if (n == 0) return result;
 
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) labels[v] = kUnvisited;
+  support::parallel_for(n, [&](VertexId v) { labels[v] = kUnvisited; });
 
   frontier::SlidingQueue queue(n);
   frontier::Bitmap front(n);

@@ -65,14 +65,13 @@ inline void link(graph::Label u, graph::Label v, core::LabelArray& comp) {
 
 /// Full pointer-jumping pass: afterwards comp[v] == comp[comp[v]].
 inline void compress(core::LabelArray& comp, graph::VertexId n) {
-#pragma omp parallel for schedule(static)
-  for (graph::VertexId v = 0; v < n; ++v) {
+  support::parallel_for(n, [&](graph::VertexId v) {
     graph::Label c = core::load_label(comp[v]);
     while (c != core::load_label(comp[c])) {
       c = core::load_label(comp[c]);
     }
     core::store_label(comp[v], c);
-  }
+  });
 }
 
 /// One grandparent sweep over comp[begin, end); returns whether any
@@ -123,7 +122,7 @@ inline bool flatten(core::LabelArray& comp, graph::VertexId n) {
   std::atomic<bool> again{true};
   while (again.load(std::memory_order_relaxed)) {
     again.store(false, std::memory_order_relaxed);
-    support::parallel_region([&](int t, int threads) {
+    support::parallel_region(n, [&](int t, int threads) {
       const auto [begin, end] = support::thread_slice(n, t, threads);
       if (flatten_slice(comp.data(), begin, end)) {
         again.store(true, std::memory_order_relaxed);

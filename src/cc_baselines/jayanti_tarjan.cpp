@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
 
@@ -66,13 +67,13 @@ core::CcResult jayanti_tarjan_cc(const graph::CsrGraph& graph,
   support::Timer timer;
   if (n == 0) return result;
 
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) parent[v] = v;
+  support::parallel_for(n, [&](VertexId v) { parent[v] = v; });
 
   // One pass over the edges; the u > v filter processes each undirected
   // edge exactly once, as the algorithm requires only a coordinate
   // representation.
-#pragma omp parallel for schedule(dynamic, 256)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + graph.num_directed_edges())) schedule(dynamic, 256)
   for (VertexId v = 0; v < n; ++v) {
     for (const VertexId u : graph.neighbors(v)) {
       if (u > v) unite(parent, v, u, options.seed);
@@ -80,10 +81,9 @@ core::CcResult jayanti_tarjan_cc(const graph::CsrGraph& graph,
   }
 
   // Flatten so every vertex is labelled by its root.
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) {
+  support::parallel_for(n, [&](VertexId v) {
     core::store_label(parent[v], concurrent_find(parent, v));
-  }
+  });
 
   result.stats.total_ms = timer.elapsed_ms();
   result.stats.num_iterations = 1;

@@ -22,8 +22,7 @@ core::CcResult shiloach_vishkin_cc(const graph::CsrGraph& graph,
   support::Timer timer;
   if (n == 0) return result;
 
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) comp[v] = v;
+  support::parallel_for(n, [&](VertexId v) { comp[v] = v; });
 
   int iterations = 0;
   bool change = true;
@@ -33,7 +32,8 @@ core::CcResult shiloach_vishkin_cc(const graph::CsrGraph& graph,
     std::atomic<bool> hooked{false};
     // Hook: for every edge (v, u) with comp[u] < comp[v], attach the root
     // of comp[v] (when comp[v] is currently a root) to comp[u].
-#pragma omp parallel for schedule(dynamic, 256)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + graph.num_directed_edges())) schedule(dynamic, 256)
     for (VertexId v = 0; v < n; ++v) {
       for (const VertexId u : graph.neighbors(v)) {
         const Label comp_v = core::load_label(comp[v]);

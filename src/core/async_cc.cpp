@@ -62,7 +62,8 @@ AsyncStats async_propagate(const graph::CsrGraph& graph, Label* labels,
   const support::SimdLevel level =
       support::simd::gather_level(support::simd::effective_level(), n);
 
-  support::parallel_region([&](int tid, int team) {
+  const std::size_t work = n + graph.num_directed_edges();
+  support::parallel_region(work, [&](int tid, int team) {
     if (tid == 0) quiesce.set_workers(team);
     std::uint64_t local_publishes = 0;
     std::uint64_t local_activations = 0;

@@ -14,7 +14,7 @@ using graph::Label;
 
 void copy_labels(std::span<const Label> src, std::span<Label> dst) {
   THRIFTY_EXPECTS(src.size() == dst.size());
-  support::parallel_region([&](int t, int threads) {
+  support::parallel_region(src.size(), [&](int t, int threads) {
     const auto [begin, end] = support::thread_slice(src.size(), t, threads);
     std::copy(src.begin() + begin, src.begin() + end, dst.begin() + begin);
   });
@@ -23,16 +23,9 @@ void copy_labels(std::span<const Label> src, std::span<Label> dst) {
 std::uint64_t count_equal_labels(std::span<const Label> a,
                                  std::span<const Label> b) {
   THRIFTY_EXPECTS(a.size() == b.size());
-  std::uint64_t total = 0;
-#pragma omp parallel reduction(+ : total)
-  {
-    const auto [begin, end] = support::thread_slice(
-        a.size(), support::thread_id(), omp_get_num_threads());
-    for (std::size_t i = begin; i < end; ++i) {
-      total += a[i] == b[i] ? 1 : 0;
-    }
-  }
-  return total;
+  return support::parallel_sum(a.size(), [&](std::size_t i) {
+    return a[i] == b[i] ? 1 : 0;
+  });
 }
 
 namespace {

@@ -9,6 +9,7 @@
 #include "frontier/sliding_queue.hpp"
 #include "instrument/counters.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "support/prefetch.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
@@ -46,11 +47,10 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
 
   // Initial label assignment (Lines 2-4): every vertex labelled by its own
   // id, and every vertex active.
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) {
+  support::parallel_for(n, [&](VertexId v) {
     new_lbs[v] = v;
     if constexpr (!kUnified) old_lbs[v] = v;
-  }
+  });
 
   // Frontier bookkeeping: a bitmap deduplicates push insertions within an
   // iteration; two sliding queues ping-pong between "current window" and
@@ -92,7 +92,9 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
       // to its neighbours with atomic_min.
       rec.direction = Direction::kPush;
       const auto window = actives.window();
-#pragma omp parallel reduction(+ : changes, changed_edges)
+#pragma omp parallel num_threads( \
+    support::threads_for(active_vertices + active_edges)) \
+    reduction(+ : changes, changed_edges)
       {
         frontier::SlidingQueue::LocalBuffer buffer(queue);
 #pragma omp for schedule(dynamic, 64) nowait
@@ -126,7 +128,8 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
       // Pull traversal (Lines 13-20): every vertex recomputes its label as
       // the minimum over itself and its neighbours, ignoring the frontier.
       rec.direction = Direction::kPull;
-#pragma omp parallel reduction(+ : changes, changed_edges)
+#pragma omp parallel num_threads(support::threads_for(n + m)) \
+    reduction(+ : changes, changed_edges)
       {
         frontier::SlidingQueue::LocalBuffer buffer(queue);
 #pragma omp for schedule(dynamic, 256) nowait

@@ -1,7 +1,5 @@
 #include "core/thrifty.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 
@@ -36,10 +34,7 @@ VertexId plant_zero(const CsrGraph& g, PlantSite site, std::uint64_t seed,
   const VertexId n = g.num_vertices();
   // Labels are v + 1; guard the shift against wrap-around.
   THRIFTY_EXPECTS(n < static_cast<VertexId>(-1) - 1);
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) {
-    labels[v] = v + 1;
-  }
+  support::parallel_for(n, [&](VertexId v) { labels[v] = v + 1; });
   VertexId planted = 0;
   switch (site) {
     case PlantSite::kMaxDegree:
@@ -81,9 +76,8 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
   const support::SimdLevel simd_level =
       support::simd::gather_level(support::simd::effective_level(), n);
 
-  const int threads = support::num_threads();
-  frontier::LocalWorklists current(n, threads);
-  frontier::LocalWorklists next(n, threads);
+  frontier::LocalWorklists current(n, support::num_threads());
+  frontier::LocalWorklists next(n, support::num_threads());
   partition::PartitionScheduler scheduler(g, options.partitions_per_thread);
 
   std::uint64_t active_vertices = 0;
@@ -112,9 +106,10 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
 
     const Label hub_label = labels[hub];
     const auto hub_neighbors = g.neighbors(hub);
-#pragma omp parallel
+#pragma omp parallel num_threads( \
+    support::threads_for(1 + hub_neighbors.size()))
     {
-      const int t = omp_get_thread_num();
+      const int t = support::thread_id();
 #pragma omp for schedule(static) nowait
       for (std::size_t i = 0; i < hub_neighbors.size(); ++i) {
         if (i + support::kPrefetchDistance < hub_neighbors.size()) {

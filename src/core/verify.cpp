@@ -4,6 +4,7 @@
 
 #include "core/cc_common.hpp"
 #include "core/union_find.hpp"
+#include "support/parallel.hpp"
 
 namespace thrifty::core {
 
@@ -15,7 +16,8 @@ bool edge_consistent(const graph::CsrGraph& graph,
   if (labels.size() != graph.num_vertices()) return false;
   const VertexId n = graph.num_vertices();
   std::atomic<bool> consistent{true};
-#pragma omp parallel for schedule(dynamic, 1024)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + graph.num_directed_edges())) schedule(dynamic, 1024)
   for (VertexId v = 0; v < n; ++v) {
     if (!consistent.load(std::memory_order_relaxed)) continue;
     const Label lv = labels[v];

@@ -18,6 +18,7 @@
 
 #include "graph/types.hpp"
 #include "support/assert.hpp"
+#include "support/parallel.hpp"
 #include "support/uninit_vector.hpp"
 
 namespace thrifty::frontier {
@@ -39,7 +40,8 @@ class LocalWorklists {
       : marks_(num_vertices),
         lists_(static_cast<std::size_t>(num_threads)),
         mass_(static_cast<std::size_t>(num_threads)) {
-    zero_marks(marks_);
+    support::parallel_for(num_vertices,
+                          [&](graph::VertexId v) { marks_[v] = 0; });
   }
 
   [[nodiscard]] int num_threads() const {
@@ -122,11 +124,13 @@ class LocalWorklists {
   }
 
   /// Consumes all worklists with `body(worker_thread, vertex)` inside a
-  /// fresh parallel region.  Each thread drains its own list in chunks
-  /// (ascending order, preserving the locality of its own insertions) and
-  /// then steals chunks from other threads' lists, scanning victims in
-  /// descending thread order as the paper's scheduler does.  Does not
-  /// modify the lists; call clear() afterwards to recycle.
+  /// fresh parallel region sized to the frontier's mass.  Each thread
+  /// drains its own list in chunks (ascending order, preserving the
+  /// locality of its own insertions) and then steals chunks from other
+  /// threads' lists, scanning victims in descending thread order as the
+  /// paper's scheduler does, so a team smaller than the number of lists
+  /// still drains every list.  Does not modify the lists; call clear()
+  /// afterwards to recycle.
   template <typename Body>
   void process_with_stealing(Body&& body) const {
     const int threads = num_threads();
@@ -134,9 +138,11 @@ class LocalWorklists {
         static_cast<std::size_t>(threads));
     for (auto& c : cursors) c.store(0, std::memory_order_relaxed);
     constexpr std::size_t kChunk = 64;
-#pragma omp parallel num_threads(threads)
+    const Mass frontier = mass();
+#pragma omp parallel num_threads( \
+    support::threads_for(frontier.vertices + frontier.edges))
     {
-      const int self = support_thread_id();
+      const int self = support::thread_id();
       // Own list first, then victims from the highest thread id down.
       for (int step = 0; step < threads; ++step) {
         const int victim =
@@ -168,9 +174,6 @@ class LocalWorklists {
 
  private:
   using Marks = support::UninitVector<std::uint8_t>;
-
-  static int support_thread_id();
-  static void zero_marks(Marks& marks);
 
   std::atomic_ref<std::uint8_t> mark(graph::VertexId v) {
     return std::atomic_ref<std::uint8_t>(marks_[v]);

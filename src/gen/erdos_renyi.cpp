@@ -4,6 +4,7 @@
 
 #include "support/assert.hpp"
 #include "support/math.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 namespace thrifty::gen {
@@ -18,7 +19,8 @@ EdgeList erdos_renyi_edges(const ErdosRenyiParams& params) {
   constexpr std::uint64_t kChunk = 1 << 14;
   const std::uint64_t num_chunks =
       support::ceil_div(params.num_edges, kChunk);
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for num_threads( \
+    support::threads_for(params.num_edges)) schedule(dynamic, 1)
   for (std::uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
     support::Xoshiro256StarStar rng(
         support::hash_mix(params.seed, chunk + 1));

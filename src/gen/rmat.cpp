@@ -57,7 +57,8 @@ EdgeList rmat_edges(const RmatParams& params) {
   // thread count.
   constexpr std::uint64_t kChunk = 1 << 14;
   const std::uint64_t num_chunks = support::ceil_div(m, kChunk);
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for num_threads(support::threads_for(m)) \
+    schedule(dynamic, 1)
   for (std::uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
     support::Xoshiro256StarStar rng(
         support::hash_mix(params.seed, chunk + 1));
@@ -78,11 +79,10 @@ EdgeList rmat_edges(const RmatParams& params) {
     for (std::uint64_t i = n - 1; i > 0; --i) {
       std::swap(perm[i], perm[rng.next_below(i + 1)]);
     }
-#pragma omp parallel for schedule(static)
-    for (std::uint64_t i = 0; i < m; ++i) {
+    support::parallel_for(m, [&](std::uint64_t i) {
       edges[i].u = perm[edges[i].u];
       edges[i].v = perm[edges[i].v];
-    }
+    });
   }
   return edges;
 }

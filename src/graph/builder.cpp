@@ -19,7 +19,7 @@ using support::UninitVector;
 BuildResult build_csr(const EdgeList& edges, VertexId num_vertices,
                       const BuildOptions& options) {
   const std::size_t m = edges.size();
-  const int threads = support::num_threads();
+  const int threads = support::threads_for(m);
   const auto blocks = static_cast<std::size_t>(threads);
   // Contiguous per-thread edge ranges: thread t owns [block_begin(t),
   // block_begin(t+1)).  Each thread counts and later scatters exactly its

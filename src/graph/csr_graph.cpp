@@ -1,7 +1,5 @@
 #include "graph/csr_graph.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -21,7 +19,8 @@ void CsrGraph::check_invariants_and_count_loops() {
   THRIFTY_EXPECTS(offsets_.back() == neighbors_.size());
   const VertexId n = num_vertices();
   EdgeOffset loops = 0;
-#pragma omp parallel for schedule(static) reduction(+ : loops)
+#pragma omp parallel for num_threads(support::threads_for( \
+    n + neighbors_.size())) schedule(static) reduction(+ : loops)
   for (VertexId v = 0; v < n; ++v) {
     THRIFTY_EXPECTS(offsets_[v] <= offsets_[v + 1]);
     for (EdgeOffset e = offsets_[v]; e < offsets_[v + 1]; ++e) {
@@ -107,13 +106,12 @@ VertexId CsrGraph::max_degree_vertex() const {
   THRIFTY_EXPECTS(!empty());
   const VertexId n = num_vertices();
   // Per-thread maxima, combined serially — Lines 5-8 of Algorithm 2.
-  const int max_threads = support::num_threads();
-  std::vector<EdgeOffset> max_degrees(static_cast<std::size_t>(max_threads),
-                                      0);
-  std::vector<VertexId> max_ids(static_cast<std::size_t>(max_threads), 0);
-#pragma omp parallel
+  const int threads = support::threads_for(n);
+  std::vector<EdgeOffset> max_degrees(static_cast<std::size_t>(threads), 0);
+  std::vector<VertexId> max_ids(static_cast<std::size_t>(threads), 0);
+#pragma omp parallel num_threads(threads)
   {
-    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    const auto t = static_cast<std::size_t>(support::thread_id());
     EdgeOffset best_degree = 0;
     VertexId best_id = 0;
     bool seen = false;

@@ -123,7 +123,7 @@ ValidationReport validate_csr(std::span<const EdgeOffset> offsets,
   // Structural pass: monotonicity, neighbour range, and per-list order
   // flags, clamping every adjacency range to [0, m) so arbitrary offset
   // values can never index out of bounds.
-  const int threads = support::num_threads();
+  const int threads = support::threads_for(n + m);
   std::vector<Site> first_sites(static_cast<std::size_t>(threads));
   std::vector<std::uint8_t> sorted_list(n, 1);
   std::uint64_t non_monotone = 0;

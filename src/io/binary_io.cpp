@@ -19,6 +19,7 @@
 #include "graph/validate.hpp"
 #include "support/assert.hpp"
 #include "support/math.hpp"
+#include "support/parallel.hpp"
 #include "support/uninit_vector.hpp"
 
 namespace thrifty::io {
@@ -30,10 +31,6 @@ using graph::VertexId;
 
 constexpr std::uint64_t kHeaderBytes = CsrSnapshotLayout::kHeaderBytes;
 
-/// Payloads smaller than this are read and checked on the calling thread,
-/// so tiny inputs (unit tests, crosscheck scenarios) never open a parallel
-/// region.
-constexpr std::uint64_t kParallelPayloadBytes = 2 * kSnapshotReadChunkBytes;
 constexpr std::size_t kOffsetsPerChunk =
     kSnapshotReadChunkBytes / sizeof(EdgeOffset);
 constexpr std::size_t kIdsPerChunk = kSnapshotReadChunkBytes / sizeof(VertexId);
@@ -119,11 +116,11 @@ struct PayloadScan {
   bool ids_in_range = true;  ///< every id < the shape's id_limit
 };
 
-/// Walks the payload in fixed-size chunks, in parallel from
-/// kParallelPayloadBytes on.  `fill(chunk)` makes the chunk's elements
-/// available (a pread, or nothing for arrays already in memory) and
-/// returns false when it could not; a filled chunk is checked at once,
-/// while it is still in cache.
+/// Walks the payload in fixed-size chunks, on a team sized to its
+/// elements.  `fill(chunk)` makes the chunk's elements available (a
+/// pread, or nothing for arrays already in memory) and returns false when
+/// it could not; a filled chunk is checked at once, while it is still in
+/// cache.
 template <typename Fill>
 PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
                          std::span<const VertexId> neighbors,
@@ -132,15 +129,14 @@ PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
       support::ceil_div(offsets.size(), kOffsetsPerChunk);
   const std::size_t chunks =
       offset_chunks + support::ceil_div(neighbors.size(), kIdsPerChunk);
-  const bool parallel = offsets.size_bytes() + neighbors.size_bytes() >=
-                        kParallelPayloadBytes;
   // Ids are 32-bit, so every id is below a limit beyond that range.
   const bool check_ids = id_limit <= std::numeric_limits<VertexId>::max();
   const auto limit = static_cast<VertexId>(check_ids ? id_limit : 0);
   bool complete = true;
   bool monotone = true;
   bool ids_in_range = true;
-#pragma omp parallel for if (parallel) schedule(static) \
+#pragma omp parallel for num_threads(support::threads_for( \
+    offsets.size() + neighbors.size())) schedule(static) \
     reduction(&& : complete, monotone, ids_in_range)
   for (std::size_t c = 0; c < chunks; ++c) {
     Chunk chunk;

@@ -36,9 +36,12 @@ namespace thrifty::partition {
 class PartitionScheduler {
  public:
   /// Builds edge-balanced partitions for the current OpenMP thread count.
+  /// Each sweep touches n + m elements, which sizes its team.
   explicit PartitionScheduler(const graph::CsrGraph& graph,
                               int partitions_per_thread = 32)
       : threads_(support::num_threads()),
+        team_(support::threads_for(graph.num_vertices() +
+                                   graph.num_directed_edges())),
         per_thread_(partitions_per_thread),
         ranges_(edge_balanced_partitions(
             graph, static_cast<std::size_t>(threads_) *
@@ -62,7 +65,7 @@ class PartitionScheduler {
     for (auto& flag : claimed_) flag.store(0, std::memory_order_relaxed);
     const int threads = threads_;
     const auto per_thread = static_cast<std::size_t>(per_thread_);
-#pragma omp parallel num_threads(threads)
+#pragma omp parallel num_threads(team_)
     {
       const int self = support::thread_id();
       // Own block, ascending.  A team smaller than requested also takes
@@ -93,6 +96,7 @@ class PartitionScheduler {
   }
 
   int threads_;
+  int team_;
   int per_thread_;
   std::vector<VertexRange> ranges_;
   std::vector<std::atomic<std::uint8_t>> claimed_;

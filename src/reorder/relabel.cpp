@@ -89,8 +89,8 @@ RelabelReport validate_relabel(std::span<const VertexId> perm, VertexId n) {
 
   std::uint64_t out_of_range = 0;
   std::uint64_t first_oor = std::numeric_limits<std::uint64_t>::max();
-#pragma omp parallel for schedule(static) \
-    reduction(+ : out_of_range) reduction(min : first_oor)
+#pragma omp parallel for num_threads(support::threads_for(n)) \
+    schedule(static) reduction(+ : out_of_range) reduction(min : first_oor)
   for (VertexId v = 0; v < n; ++v) {
     const VertexId target = perm[v];
     if (target >= n) {
@@ -103,8 +103,8 @@ RelabelReport validate_relabel(std::span<const VertexId> perm, VertexId n) {
 
   std::uint64_t duplicates = 0;
   std::uint64_t first_dup = std::numeric_limits<std::uint64_t>::max();
-#pragma omp parallel for schedule(static) \
-    reduction(+ : duplicates) reduction(min : first_dup)
+#pragma omp parallel for num_threads(support::threads_for(n)) \
+    schedule(static) reduction(+ : duplicates) reduction(min : first_dup)
   for (VertexId v = 0; v < n; ++v) {
     const VertexId target = perm[v];
     if (target < n && min_owner[target] != v) {

@@ -69,7 +69,7 @@ namespace {
 template <typename KeyFn>
 void counting_sort_into(VertexId n, std::size_t num_buckets,
                         const KeyFn& key, Permutation& perm) {
-  const int threads = support::num_threads();
+  const int threads = support::threads_for(n);
   const auto blocks = static_cast<std::size_t>(threads);
   const std::size_t vertices = n;
   const std::size_t block_size = (vertices + blocks - 1) / blocks;
@@ -135,7 +135,8 @@ Permutation degree_order(const CsrGraph& graph, bool descending) {
   Permutation perm(n);
   if (n == 0) return perm;
   EdgeOffset max_degree = 0;
-#pragma omp parallel for schedule(static) reduction(max : max_degree)
+#pragma omp parallel for num_threads(support::threads_for(n)) \
+    schedule(static) reduction(max : max_degree)
   for (VertexId v = 0; v < n; ++v) {
     max_degree = std::max(max_degree, graph.degree(v));
   }
@@ -271,7 +272,7 @@ CsrGraph apply_permutation(const CsrGraph& graph, const Permutation& perm) {
   // per-vertex std::sort rebuild is gone.  Output is independent of the
   // block count: blocks are ascending source ranges, so each
   // destination's concatenated entries stay ascending.
-  const int threads = support::num_threads();
+  const int threads = support::threads_for(n + m);
   const auto blocks = static_cast<std::size_t>(threads);
   std::vector<VertexId> bounds(blocks + 1);
   bounds[blocks] = n;

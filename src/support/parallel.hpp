@@ -1,6 +1,13 @@
 // Thin, typed wrappers around the OpenMP constructs this project uses, so
 // that algorithm code reads at the level of the paper's pseudocode
 // (`par_for v in V`) rather than raw pragmas.
+//
+// The team rule lives here and nowhere else: every parallel region takes
+// `threads_for(work)` threads, where `work` counts the elements the region
+// touches — n for a pass over a dense array, n + m for a sweep over
+// adjacency, frontier vertices plus frontier edges for a push.  The
+// helpers below size their own teams from their loop counts; a raw
+// region outside this header carries `num_threads(threads_for(work))`.
 #pragma once
 
 #include <omp.h>
@@ -16,14 +23,16 @@ namespace thrifty::support {
 /// Number of threads an upcoming parallel region will use.
 [[nodiscard]] inline int num_threads() { return omp_get_max_threads(); }
 
-/// Loops over fewer elements than this run on the calling thread: waking
-/// the team costs more than the work, and small inputs (unit tests,
-/// crosscheck scenarios) then never open a parallel region.
+/// Regions touching fewer elements than this run on the calling thread:
+/// waking the team costs more than the work, and a team that spins at the
+/// barriers of tiny regions while other processes hold the CPUs turns each
+/// microsecond iteration into a time slice.
 inline constexpr std::size_t kSerialCutoff = std::size_t{1} << 14;
 
-/// Team size for a loop over `n` elements: 1 below kSerialCutoff.
-[[nodiscard]] inline int threads_for(std::size_t n) {
-  return n < kSerialCutoff ? 1 : num_threads();
+/// Team size for a region touching `work` elements: 1 below
+/// kSerialCutoff, the whole team from it on.
+[[nodiscard]] inline int threads_for(std::size_t work) {
+  return work < kSerialCutoff ? 1 : num_threads();
 }
 
 /// Calling thread's id inside a parallel region (0 outside one).
@@ -34,7 +43,8 @@ inline constexpr std::size_t kSerialCutoff = std::size_t{1} << 14;
 /// edge-balanced partitioning.
 template <typename Index, typename Body>
 void parallel_for(Index n, Body&& body) {
-#pragma omp parallel for schedule(static)
+  const int threads = threads_for(static_cast<std::size_t>(n));
+#pragma omp parallel for num_threads(threads) schedule(static)
   for (Index i = 0; i < n; ++i) {
     body(i);
   }
@@ -44,7 +54,8 @@ void parallel_for(Index n, Body&& body) {
 /// (e.g. iterating vertices with skewed degrees without pre-partitioning).
 template <typename Index, typename Body>
 void parallel_for_dynamic(Index n, Body&& body, Index chunk = Index{1024}) {
-#pragma omp parallel for schedule(dynamic, chunk)
+  const int threads = threads_for(static_cast<std::size_t>(n));
+#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
   for (Index i = 0; i < n; ++i) {
     body(i);
   }
@@ -54,7 +65,9 @@ void parallel_for_dynamic(Index n, Body&& body, Index chunk = Index{1024}) {
 template <typename Index, typename Body>
 [[nodiscard]] std::uint64_t parallel_sum(Index n, Body&& body) {
   std::uint64_t total = 0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
+  const int threads = threads_for(static_cast<std::size_t>(n));
+#pragma omp parallel for num_threads(threads) schedule(static) \
+    reduction(+ : total)
   for (Index i = 0; i < n; ++i) {
     total += static_cast<std::uint64_t>(body(i));
   }
@@ -68,14 +81,15 @@ template <typename Index, typename Body>
 /// `values` and `out` may not alias.
 template <typename Value, typename Sum>
 void parallel_exclusive_scan(const Value* values, std::size_t n, Sum* out) {
-  const auto blocks = static_cast<std::size_t>(num_threads());
+  const int threads = threads_for(n);
+  const auto blocks = static_cast<std::size_t>(threads);
   const std::size_t block_size = (n + blocks - 1) / blocks;
   std::vector<Sum> block_sum(blocks + 1, Sum{0});
   const auto block_range = [&](std::size_t b) {
     const std::size_t begin = std::min(b * block_size, n);
     return std::pair{begin, std::min(begin + block_size, n)};
   };
-#pragma omp parallel
+#pragma omp parallel num_threads(threads)
   {
 #pragma omp for schedule(static, 1)
     for (std::size_t b = 0; b < blocks; ++b) {
@@ -117,11 +131,11 @@ void parallel_exclusive_scan(const Value* values, std::size_t n, Sum* out) {
   return {begin, std::min(begin + per, n)};
 }
 
-/// Runs `body(thread_id, num_threads)` once on every thread of a parallel
-/// region.  Used for per-thread scratch (local worklists, local maxima).
+/// Runs `body(thread_id, team_size)` once on every thread of a region
+/// sized for `work` elements.  Used for per-thread slices and scratch.
 template <typename Body>
-void parallel_region(Body&& body) {
-#pragma omp parallel
+void parallel_region(std::size_t work, Body&& body) {
+#pragma omp parallel num_threads(threads_for(work))
   {
     body(omp_get_thread_num(), omp_get_num_threads());
   }

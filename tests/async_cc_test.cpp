@@ -14,6 +14,8 @@
 #include "cc_baselines/registry.hpp"
 #include "core/async_cc.hpp"
 #include "core/cc_common.hpp"
+#include "gen/rmat.hpp"
+#include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/parallel.hpp"
 #include "testing/oracles.hpp"
@@ -31,6 +33,16 @@ CsrGraph graph_for(const std::string& scenario_spec) {
       testing::scenario_from_spec(scenario_spec));
 }
 
+/// An R-MAT graph with n + m above support::kSerialCutoff, so the drains
+/// run on real teams (the scenario graphs are smaller).
+CsrGraph large_rmat() {
+  gen::RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 8;
+  params.seed = 11;
+  return graph::build_csr(gen::rmat_edges(params)).graph;
+}
+
 CcOptions base_options() {
   CcOptions options;
   options.seed = 7;
@@ -45,9 +57,10 @@ TEST(AsyncCc, MatchesReferenceAcrossThreadCountsAndFamilies) {
   const std::vector<std::string> scenarios = {
       "hub_star:1",          "all_satellites:2", "two_clique_bridge:3",
       "permuted_rmat:4",     "random:5",         "hub_star:6",
-      "all_satellites:6"};
+      "all_satellites:6",    "large_rmat"};
   for (const std::string& scenario : scenarios) {
-    const CsrGraph graph = graph_for(scenario);
+    const CsrGraph graph =
+        scenario == "large_rmat" ? large_rmat() : graph_for(scenario);
     const std::vector<Label> reference = testing::reference_partition(graph);
     for (const int threads : {1, 2, 8}) {
       support::ThreadCountGuard guard(threads);
@@ -129,7 +142,7 @@ TEST(AsyncCc, RegisteredAsLabelPropagationAlgorithm) {
 // non-tagged access to a concurrently-updated slot shows up here as a
 // data race; the engine must be clean with no suppressions.
 TEST(AsyncCcStress, RepeatedFourThreadDrainsAreRaceFreeAndCorrect) {
-  const CsrGraph graph = graph_for("permuted_rmat:11");
+  const CsrGraph graph = large_rmat();
   const std::vector<Label> reference = testing::reference_partition(graph);
   support::ThreadCountGuard guard(4);
   CcOptions contended = base_options();

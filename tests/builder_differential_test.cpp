@@ -78,9 +78,11 @@ void expect_byte_identical(const CsrGraph& g, const NaiveCsr& expected,
 }
 
 TEST(BuilderDifferential, ByteIdenticalOnRmatAcrossThreadsAndSeeds) {
+  // 2^9 * 32 edges: at the serial cutoff, so 2 and 4 threads build on
+  // real teams.
   gen::RmatParams params;
   params.scale = 9;
-  params.edge_factor = 8;
+  params.edge_factor = 32;
   const auto n = static_cast<VertexId>(VertexId{1} << params.scale);
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     params.seed = seed;

@@ -131,6 +131,20 @@ std::vector<GraphCase> make_graph_cases() {
   return cases;
 }
 
+// Regions size their teams by the elements they touch (n + m for a
+// sweep, support::threads_for), so the _t2/_t4 sweeps run real teams only
+// on zoo graphs at or above the serial cutoff.
+TEST(CcGraphZoo, SomeGraphsCrossTheSerialCutoff) {
+  std::size_t crossing = 0;
+  for (const GraphCase& gc : make_graph_cases()) {
+    if (gc.graph.num_vertices() + gc.graph.num_directed_edges() >=
+        support::kSerialCutoff) {
+      ++crossing;
+    }
+  }
+  EXPECT_GE(crossing, 1u);
+}
+
 class CcAlgorithmSweep
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
@@ -172,7 +186,7 @@ TEST_P(CcSeedSweep, RandomisedAlgorithmsCorrectAcrossSeeds) {
   const std::uint64_t seed = GetParam();
   gen::RmatParams params;
   params.scale = 11;
-  params.edge_factor = 4;
+  params.edge_factor = 8;  // n + m above support::kSerialCutoff
   params.seed = seed;
   const CsrGraph g =
       graph::build_csr(gen::rmat_edges(params), 1u << 11).graph;

@@ -206,8 +206,11 @@ TEST(DenseLabelHelpers, CopyAndCountEqualMatchPlainLoopsOnUnevenSlices) {
   // per thread; sizes that are not a multiple of the team leave a short
   // last slice (or empty ones when n < threads).
   std::mt19937 rng(17);
+  // The largest size is above support::kSerialCutoff, so it runs on a
+  // team; the others run on the calling thread.
   for (const std::size_t n : {std::size_t{0}, std::size_t{3},
-                              std::size_t{1001}, std::size_t{10007}}) {
+                              std::size_t{1001},
+                              support::kSerialCutoff + 7}) {
     std::vector<Label> a(n);
     std::vector<Label> b(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -308,8 +311,9 @@ TEST(Verifier, AcceptsEmptyGraph) {
 }
 
 TEST(Verifier, DetectsSingleMutatedLabel) {
-  const auto g = graph::build_csr(gen::clique_edges(50)).graph;
-  std::vector<Label> labels(50, 0);
+  // n + m above support::kSerialCutoff: the edge sweep runs on a team.
+  const auto g = graph::build_csr(gen::clique_edges(130)).graph;
+  std::vector<Label> labels(130, 0);
   EXPECT_TRUE(verify_labels(g, labels).valid);
   labels[17] = 1;  // inject corruption
   EXPECT_FALSE(verify_labels(g, labels).valid);

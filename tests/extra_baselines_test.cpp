@@ -91,7 +91,8 @@ bool equals(const core::LabelArray& a, const std::vector<graph::Label>& b) {
 TEST(HookFlatten, ReachesFixpointOnChainsStarsAndForests) {
   // SV shortcuts with hook::flatten.  Its return value is true exactly
   // when some entry did not already point at its root.
-  for (const VertexId n : {0u, 1u, 2u, 17u, 1000u, 10007u}) {
+  // The largest n is above support::kSerialCutoff, so it runs on a team.
+  for (const VertexId n : {0u, 1u, 2u, 17u, 1000u, 20011u}) {
     std::vector<core::LabelArray> forests;
     core::LabelArray chain = core::make_label_array(n);  // v -> v-1 -> 0
     for (VertexId v = 0; v < n; ++v) chain[v] = v == 0 ? 0 : v - 1;

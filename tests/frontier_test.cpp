@@ -67,12 +67,13 @@ TEST(Bitmap, ConcurrentSetAtomicInsertsEachBitOnce) {
 }
 
 TEST(Bitmap, CountAndClearOnBothSidesOfSerialCutoff) {
-  // clear() runs serially below 2^18 words and on a parallel team above;
-  // count() always splits the words across the team.  Bit positions
-  // straddle word boundaries and the partial final word, and the sizes
-  // are not a multiple of any team size.
+  // clear() and count() run on the calling thread below
+  // support::kSerialCutoff words and on a team from there on.  Bit
+  // positions straddle word boundaries and the partial final word, and
+  // the sizes are not a multiple of any team size.
   for (const std::uint64_t num_bits :
-       {std::uint64_t{64 * 37 + 13}, std::uint64_t{(1u << 18) * 64 + 197}}) {
+       {std::uint64_t{64 * 37 + 13},
+        std::uint64_t{support::kSerialCutoff * 64 + 197}}) {
     const std::vector<std::uint64_t> bits = {
         0, 1, 63, 64, 127, 128, 1023, num_bits / 2, num_bits - 65,
         num_bits - 1};
@@ -188,7 +189,8 @@ TEST(LocalWorklists, SwapExchangesContents) {
 
 TEST(LocalWorklists, ProcessWithStealingVisitsEveryVertexOnce) {
   const int threads = support::num_threads();
-  const VertexId n = 10000;
+  // A frontier mass at the serial cutoff, so a team drains it.
+  const auto n = static_cast<VertexId>(support::kSerialCutoff);
   LocalWorklists lists(n, threads);
   // Load everything into thread 0's list: stealing must still spread and
   // complete the work.

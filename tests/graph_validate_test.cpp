@@ -165,7 +165,7 @@ TEST(ValidateCsr, NeverReadsOutOfBoundsOnHostileOffsets) {
 TEST(ValidateCsr, BuilderOutputPassesStrictValidation) {
   gen::RmatParams params;
   params.scale = 10;
-  params.edge_factor = 8;
+  params.edge_factor = 16;  // n + m above support::kSerialCutoff
   const CsrGraph g = build_csr(gen::rmat_edges(params)).graph;
   ValidateOptions strict;
   strict.require_sorted = true;
@@ -178,16 +178,17 @@ TEST(ValidateCsr, BuilderOutputPassesStrictValidation) {
 
 TEST(ValidateCsr, GridAndStarPassValidation) {
   gen::GridParams grid;
-  grid.width = 20;
-  grid.height = 20;
+  grid.width = 64;  // n + m above support::kSerialCutoff
+  grid.height = 64;
   EXPECT_TRUE(validate_csr(build_csr(gen::grid_edges(grid)).graph).ok());
   EXPECT_TRUE(validate_csr(build_csr(gen::star_edges(100)).graph).ok());
 }
 
 TEST(ValidateCsr, FirstSiteDeterministicAcrossThreadCounts) {
-  // Large path graph with two violations; the reported first site must be
-  // the smaller one no matter how the parallel scan is scheduled.
-  const CsrGraph g = build_csr(gen::path_edges(5000)).graph;
+  // Path graph with two violations, n + m above support::kSerialCutoff;
+  // the reported first site must be the smaller one no matter how the
+  // parallel scan is scheduled.
+  const CsrGraph g = build_csr(gen::path_edges(6000)).graph;
   NeighborVec corrupt(g.neighbor_array().begin(),
                       g.neighbor_array().end());
   const OffsetVec offsets(g.offsets().begin(), g.offsets().end());

@@ -146,6 +146,35 @@ TEST(Scheduler, OwnerOnlyCoversBlocksOfThreadsTheTeamLacks) {
   EXPECT_EQ(count.load(), scheduler.partitions().size());
 }
 
+TEST(Scheduler, TeamIsSizedByVerticesPlusEdges) {
+  // skewed_graph() has n + m far above support::kSerialCutoff, so its
+  // sweeps run on a real team; a 1000-cycle (n + m = 3000) runs every
+  // partition on the calling thread.
+  const CsrGraph big = skewed_graph();
+  const CsrGraph small = graph::build_csr(gen::cycle_edges(1000)).graph;
+  ASSERT_GE(big.num_vertices() + big.num_directed_edges(),
+            support::kSerialCutoff);
+  ASSERT_LT(small.num_vertices() + small.num_directed_edges(),
+            support::kSerialCutoff);
+  support::ThreadCountGuard guard(4);
+  const auto thread_ids = [](const CsrGraph& g) {
+    PartitionScheduler scheduler(g, 8);
+    std::vector<std::atomic<int>> seen(4);
+    scheduler.for_each_partition(
+        [&](int t, const VertexRange&) {
+          seen[static_cast<std::size_t>(t)].store(1);
+        },
+        /*steal=*/false);
+    std::vector<int> ids;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      if (seen[t].load() != 0) ids.push_back(static_cast<int>(t));
+    }
+    return ids;
+  };
+  EXPECT_GT(thread_ids(big).size(), 1u);
+  EXPECT_EQ(thread_ids(small), std::vector<int>{0});
+}
+
 TEST(Scheduler, EveryVertexVisitedExactlyOnce) {
   const CsrGraph g = skewed_graph();
   PartitionScheduler scheduler(g, 32);
@@ -179,7 +208,8 @@ TEST(Scheduler, PartitionCountMatchesPaperPolicy) {
 }
 
 TEST(Scheduler, WorksAtSeveralThreadWidths) {
-  const CsrGraph g = graph::build_csr(gen::cycle_edges(1000)).graph;
+  // n + m = 3 * 8192, above support::kSerialCutoff: real teams at 2 and 4.
+  const CsrGraph g = graph::build_csr(gen::cycle_edges(8192)).graph;
   for (const int width : {1, 2, 4}) {
     support::ThreadCountGuard guard(width);
     PartitionScheduler scheduler(g, 4);

@@ -42,7 +42,9 @@ using graph::VertexId;
 using io::IoError;
 using io::IoErrorKind;
 
-CsrGraph small_rmat(int scale = 10) {
+/// At the default scale n + m is above support::kSerialCutoff, so builds
+/// and whole-graph sweeps run on real teams.
+CsrGraph small_rmat(int scale = 11) {
   gen::RmatParams params;
   params.scale = scale;
   params.edge_factor = 8;

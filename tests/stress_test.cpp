@@ -47,7 +47,8 @@ class BuilderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BuilderFuzz, MatchesNaiveOracleOnRandomEdgeLists) {
   support::Xoshiro256StarStar rng(GetParam());
   const VertexId n = 20 + static_cast<VertexId>(rng.next_below(200));
-  const std::size_t m = rng.next_below(800);
+  // At least support::kSerialCutoff edges, so the build runs on a team.
+  const std::size_t m = support::kSerialCutoff + rng.next_below(800);
   EdgeList edges;
   edges.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {

@@ -2,6 +2,7 @@
 // parallel wrappers, uninitialised vectors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <set>
 #include <vector>
@@ -273,13 +274,39 @@ TEST(Parallel, ParallelSumMatchesSerial) {
 TEST(Parallel, ParallelRegionRunsEveryThread) {
   std::vector<std::atomic<int>> hits(
       static_cast<std::size_t>(num_threads()));
-  parallel_region([&](int tid, int nthreads) {
+  parallel_region(kSerialCutoff, [&](int tid, int nthreads) {
     EXPECT_LT(tid, nthreads);
     hits[static_cast<std::size_t>(tid)].fetch_add(1);
   });
   int total = 0;
   for (auto& h : hits) total += h.load();
   EXPECT_GE(total, 1);
+}
+
+TEST(Parallel, HelpersSizeTheirTeamsToTheirWork) {
+  ThreadCountGuard guard(4);
+  for (const std::size_t n : {kSerialCutoff - 1, kSerialCutoff}) {
+    const int expected = n < kSerialCutoff ? 1 : 4;
+    EXPECT_EQ(threads_for(n), expected) << "threads_for, n = " << n;
+    // Every call of the body records the team it runs in.
+    std::atomic<int> team{0};
+    const auto record = [&] {
+      team.store(omp_get_num_threads(), std::memory_order_relaxed);
+    };
+    parallel_for(n, [&](std::size_t) { record(); });
+    EXPECT_EQ(team.exchange(0), expected) << "parallel_for, n = " << n;
+    parallel_for_dynamic(n, [&](std::size_t) { record(); });
+    EXPECT_EQ(team.exchange(0), expected)
+        << "parallel_for_dynamic, n = " << n;
+    const std::uint64_t sum = parallel_sum(n, [&](std::size_t) {
+      record();
+      return 1;
+    });
+    EXPECT_EQ(sum, n);
+    EXPECT_EQ(team.exchange(0), expected) << "parallel_sum, n = " << n;
+    parallel_region(n, [&](int, int) { record(); });
+    EXPECT_EQ(team.exchange(0), expected) << "parallel_region, n = " << n;
+  }
 }
 
 TEST(Parallel, ThreadCountGuardRestores) {

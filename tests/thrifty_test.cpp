@@ -275,7 +275,8 @@ TEST(Thrifty, LabelsAreZeroOrVertexPlusOneValues) {
 // frontier through the paper's per-thread worklists with work stealing,
 // so the thread count changes only which thread visits which vertex.
 TEST(ThriftyStar, StarGraphCorrectAcrossThreadCounts) {
-  const CsrGraph star = graph::build_csr(gen::star_edges(4096, 9)).graph;
+  // n + m above support::kSerialCutoff: 2 and 4 threads run real teams.
+  const CsrGraph star = graph::build_csr(gen::star_edges(8192, 9)).graph;
   for (const int threads : {1, 2, 4}) {
     support::ThreadCountGuard guard(threads);
     const CcResult result = thrifty_cc(star);

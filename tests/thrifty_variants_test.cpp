@@ -181,10 +181,10 @@ TEST(ThriftyVariants, AllVariantsAgreeOnPartition) {
 
 TEST(ThriftyVariants, VariantWorksOnRoadGrid) {
   gen::GridParams params;
-  params.width = 40;
-  params.height = 40;
+  params.width = 64;  // n + m above support::kSerialCutoff
+  params.height = 64;
   const CsrGraph g =
-      graph::build_csr(gen::grid_edges(params), 1600).graph;
+      graph::build_csr(gen::grid_edges(params), 64 * 64).graph;
   for (const auto& v : all_variants()) {
     EXPECT_TRUE(
         verify_labels(g, thrifty_cc_variant(g, {}, v).label_span()).valid)
@@ -199,9 +199,10 @@ TEST(ThriftyPlanting, MaxDegreeSelectionIsDeterministicPerThreadCount) {
   // first of them a largest one: its centre is the plant site — uniquely
   // for eight strictly decreasing stars, by the smaller id for two equal
   // stars — so exactly its component holds 0 (every other label is some
-  // v+1 > 0).
+  // v+1 > 0).  Both graphs have at least support::kSerialCutoff vertices,
+  // so the argmax runs on a team at 2 and 4 threads.
   const std::vector<std::vector<VertexId>> star_sizes{
-      {64, 60, 56, 52, 48, 44, 40, 36}, {48, 48}};
+      {4096, 3840, 3584, 3328, 3072, 2816, 2560, 2304}, {8192, 8192}};
   for (const auto& sizes : star_sizes) {
     std::vector<graph::EdgeList> parts;
     VertexId total = 0;
