@@ -107,7 +107,7 @@ CcResult thrifty_loop(const CsrGraph& g, const CcOptions& options,
     const Label hub_label = labels[hub];
     const auto hub_neighbors = g.neighbors(hub);
 #pragma omp parallel num_threads( \
-    support::threads_for(1 + hub_neighbors.size()))
+    support::threads_for(support::push_work(1, hub_neighbors.size())))
     {
       const int t = support::thread_id();
 #pragma omp for schedule(static) nowait

@@ -139,8 +139,8 @@ class LocalWorklists {
     for (auto& c : cursors) c.store(0, std::memory_order_relaxed);
     constexpr std::size_t kChunk = 64;
     const Mass frontier = mass();
-#pragma omp parallel num_threads( \
-    support::threads_for(frontier.vertices + frontier.edges))
+#pragma omp parallel num_threads(support::threads_for( \
+    support::push_work(frontier.vertices, frontier.edges)))
     {
       const int self = support::thread_id();
       // Own list first, then victims from the highest thread id down.

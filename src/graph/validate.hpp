@@ -61,7 +61,7 @@ struct ValidateOptions {
   bool forbid_self_loops = false;
   /// Neighbour ids must be below this; unset, below the vertex count.
   /// Set for a CSR whose ids index another space (a shard's cut CSR,
-  /// whose ids are boundary slots).
+  /// whose ids are global vertex ids).
   std::optional<std::uint64_t> id_limit;
 };
 

@@ -113,8 +113,26 @@ struct Chunk {
 struct PayloadScan {
   bool complete = true;  ///< every chunk was filled
   bool monotone = true;
-  bool ids_in_range = true;  ///< every id < the shape's id_limit
+  bool ids_in_range = true;  ///< every id passes the shape's id bounds
 };
+
+/// Whether some id of ids[0, count) is at or above `limit` or lies in
+/// [own_begin, own_begin + own_width).  id - own_begin wraps below the
+/// own range, so one unsigned compare tests membership; an empty range
+/// has width 0 and admits no id.  An OR of compares vectorises on every
+/// x86-64 level; an unsigned 32-bit max needs SSE4.1.
+bool any_id_out_of_range(const VertexId* ids, std::size_t count,
+                         VertexId limit, VertexId own_begin,
+                         VertexId own_width) {
+  std::uint32_t out_of_range = 0;
+#pragma omp simd reduction(| : out_of_range)
+  for (std::size_t e = 0; e < count; ++e) {
+    const VertexId id = ids[e];
+    out_of_range |= static_cast<std::uint32_t>(id >= limit) |
+                    static_cast<std::uint32_t>(id - own_begin < own_width);
+  }
+  return out_of_range != 0;
+}
 
 /// Walks the payload in fixed-size chunks, on a team sized to its
 /// elements.  `fill(chunk)` makes the chunk's elements available (a
@@ -124,14 +142,18 @@ struct PayloadScan {
 template <typename Fill>
 PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
                          std::span<const VertexId> neighbors,
-                         std::uint64_t id_limit, Fill&& fill) {
+                         const CsrFileShape& shape, Fill&& fill) {
   const std::size_t offset_chunks =
       support::ceil_div(offsets.size(), kOffsetsPerChunk);
   const std::size_t chunks =
       offset_chunks + support::ceil_div(neighbors.size(), kIdsPerChunk);
   // Ids are 32-bit, so every id is below a limit beyond that range.
-  const bool check_ids = id_limit <= std::numeric_limits<VertexId>::max();
-  const auto limit = static_cast<VertexId>(check_ids ? id_limit : 0);
+  const bool check_ids =
+      shape.id_limit <= std::numeric_limits<VertexId>::max();
+  const auto limit = static_cast<VertexId>(check_ids ? shape.id_limit : 0);
+  const auto own_begin = static_cast<VertexId>(shape.own_begin);
+  const auto own_width =
+      static_cast<VertexId>(shape.own_end - shape.own_begin);
   bool complete = true;
   bool monotone = true;
   bool ids_in_range = true;
@@ -156,14 +178,10 @@ PayloadScan scan_payload(std::span<const EdgeOffset> offsets,
       }
       monotone = monotone && sorted;
     } else if (check_ids) {
-      // An OR of compares vectorises on every x86-64 level; an unsigned
-      // 32-bit max needs SSE4.1.
-      std::uint32_t out_of_range = 0;
-#pragma omp simd reduction(| : out_of_range)
-      for (std::size_t e = chunk.begin; e < chunk.end; ++e) {
-        out_of_range |= static_cast<std::uint32_t>(neighbors[e] >= limit);
-      }
-      ids_in_range = ids_in_range && out_of_range == 0;
+      ids_in_range =
+          ids_in_range && !any_id_out_of_range(neighbors.data() + chunk.begin,
+                                               chunk.end - chunk.begin, limit,
+                                               own_begin, own_width);
     }
   }
   // The pairs that straddle two offset chunks.
@@ -190,6 +208,25 @@ void check_payload(std::span<const EdgeOffset> offsets,
   vopts.id_limit = shape.id_limit;
   const graph::ValidationReport report =
       graph::validate_csr(offsets, neighbors, vopts);
+  // validate_csr knows only id_limit; an id inside the own range is
+  // located here, and reported unless an earlier violation comes first.
+  if (report.ok() ||
+      report.first_violation == graph::CsrViolation::kNeighborOutOfRange) {
+    const auto own = std::find_if(
+        neighbors.begin(), neighbors.end(), [&](VertexId id) {
+          return id >= shape.own_begin && id < shape.own_end;
+        });
+    const auto e = static_cast<std::uint64_t>(own - neighbors.begin());
+    if (own != neighbors.end() &&
+        (report.ok() || e < report.first_edge_index)) {
+      throw IoError(shape.out_of_range_kind,
+                    "id " + std::to_string(*own) + " at edge " +
+                        std::to_string(e) + " lies inside the own range [" +
+                        std::to_string(shape.own_begin) + ", " +
+                        std::to_string(shape.own_end) + ")",
+                    context, 0, shape.ids_begin() + e * sizeof(VertexId));
+    }
+  }
   THRIFTY_ASSERT(!report.ok());
   const IoErrorKind kind =
       report.first_violation == graph::CsrViolation::kNeighborOutOfRange
@@ -347,7 +384,7 @@ CsrArrays read_csr_arrays(
   const std::span<const EdgeOffset> offsets{arrays.offsets.data(),
                                             arrays.offsets.size()};
   const std::span<const VertexId> ids{arrays.ids.data(), arrays.ids.size()};
-  const PayloadScan scan = scan_payload(offsets, ids, shape.id_limit, fill);
+  const PayloadScan scan = scan_payload(offsets, ids, shape, fill);
   if (!scan.complete) {
     // The file shrank after it was opened.
     throw IoError(IoErrorKind::kTruncated, "unexpected end of snapshot", path,
@@ -389,7 +426,7 @@ void validate_snapshot_payload(std::span<const EdgeOffset> offsets,
   // contract checks.
   const std::uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
   const CsrFileShape shape{kHeaderBytes, n, neighbors.size(), n};
-  const PayloadScan scan = scan_payload(offsets, neighbors, shape.id_limit,
+  const PayloadScan scan = scan_payload(offsets, neighbors, shape,
                                         [](const Chunk&) { return true; });
   check_payload(offsets, neighbors, scan, shape, context);
 }

@@ -108,14 +108,19 @@ struct SnapshotShape {
 
 /// Layout of a CSR-shaped file: a `header_bytes` header, then n + 1 u64
 /// offsets and m u32 ids, each id below `id_limit`.  A THRFTYG1 snapshot
-/// is one (id_limit = n); a shard's THRFTYS2 cut sidecar is another, whose
-/// ids index the boundary-slot table.
+/// is one (id_limit = n); a shard's THRFTYS3 cut sidecar is another, whose
+/// ids are global vertex ids outside the shard's own range.
 struct CsrFileShape {
   std::uint64_t header_bytes = 0;
   std::uint64_t n = 0;
   std::uint64_t m = 0;
   std::uint64_t id_limit = 0;
-  /// Kind of the error for an id at or above id_limit.
+  /// Ids in [own_begin, own_end) are out of range too: a shard's cut CSR
+  /// names only vertices that other shards own.  Empty by default.
+  std::uint64_t own_begin = 0;
+  std::uint64_t own_end = 0;
+  /// Kind of the error for an id at or above id_limit or inside the own
+  /// range.
   IoErrorKind out_of_range_kind = IoErrorKind::kInvariantViolation;
 
   [[nodiscard]] std::uint64_t ids_begin() const {
@@ -139,10 +144,10 @@ struct CsrArrays {
 /// byte).  Both arrays are then filled with pread calls of kSnapshotReadChunkBytes, in
 /// parallel from two chunks on, and each chunk is checked while in
 /// cache: offsets[0] == 0, monotone offsets, offsets[n] == m and every
-/// id < id_limit.  Throws IoError: kOpenFailed, kTruncated when the
-/// file shrinks under the read, kInvariantViolation (out_of_range_kind
-/// for an id) carrying the byte offset of the first violation, or
-/// whatever parse_header throws.
+/// id < id_limit and outside [own_begin, own_end).  Throws IoError:
+/// kOpenFailed, kTruncated when the file shrinks under the read,
+/// kInvariantViolation (out_of_range_kind for an id) carrying the byte
+/// offset of the first violation, or whatever parse_header throws.
 [[nodiscard]] CsrArrays read_csr_arrays(
     const std::string& path, std::uint64_t header_bytes,
     const std::function<CsrFileShape(std::span<const char>, std::uint64_t)>&

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "io/binary_io.hpp"
-#include "io/mmap_io.hpp"
 
 namespace thrifty::shard {
 
@@ -22,12 +21,11 @@ using io::IoErrorKind;
 
 namespace {
 
-constexpr std::string_view kManifestBanner = "# thrifty shard manifest v1";
+constexpr std::string_view kManifestBanner = "# thrifty shard manifest v2";
+/// Sidecar magic.  The older formats' magics, "THRFTYS1" ((local, slot)
+/// pairs) and "THRFTYS2" (a cut CSR of slots), differ in the last byte.
 constexpr std::array<char, 8> kCutMagic = {'T', 'H', 'R', 'F',
-                                           'T', 'Y', 'S', '2'};
-/// The sidecar format before the cut CSR: (local, slot) pairs.
-constexpr std::array<char, 8> kOldCutMagic = {'T', 'H', 'R', 'F',
-                                              'T', 'Y', 'S', '1'};
+                                           'T', 'Y', 'S', '3'};
 constexpr std::uint64_t kCutHeaderBytes = 32;  // magic + 3 u64 counts
 
 /// graph.shards -> graph.shard<k>.bin / graph.shard<k>.cut
@@ -72,44 +70,42 @@ std::uint64_t header_value(const std::string& text, const char* key,
   return value;
 }
 
-/// Header check of a THRFTYS2 sidecar against the manifest, before any
+/// Header check of a THRFTYS3 sidecar against the manifest, before any
 /// allocation.  Returns the cut CSR's shape for io::read_csr_arrays.
 io::CsrFileShape parse_cut_header(std::span<const char> prefix,
                                   const ShardMeta& meta,
-                                  std::uint32_t num_slots) {
+                                  graph::VertexId num_vertices) {
   const std::string& path = meta.cut_path;
   if (prefix.size() < kCutMagic.size()) {
     throw IoError(IoErrorKind::kTruncated, "unexpected end of sidecar",
                   path, 0, prefix.size());
   }
-  if (std::memcmp(prefix.data(), kOldCutMagic.data(), kOldCutMagic.size()) ==
-      0) {
-    throw IoError(IoErrorKind::kBadMagic,
-                  "THRFTYS1 sidecar of an older format; re-run "
-                  "graph_convert --shards to rewrite the snapshot",
-                  path, 0, 0);
-  }
   if (std::memcmp(prefix.data(), kCutMagic.data(), kCutMagic.size()) != 0) {
-    throw IoError(IoErrorKind::kBadMagic, "not a THRFTYS2 sidecar", path, 0,
-                  0);
+    const bool older = std::memcmp(prefix.data(), kCutMagic.data(),
+                                   kCutMagic.size() - 1) == 0;
+    throw IoError(IoErrorKind::kBadMagic,
+                  older ? "sidecar of an older THRFTYS format; re-run "
+                          "graph_convert --shards to rewrite the snapshot"
+                        : "not a THRFTYS3 sidecar",
+                  path, 0, 0);
   }
   if (prefix.size() < kCutHeaderBytes) {
     throw IoError(IoErrorKind::kTruncated, "unexpected end of sidecar",
                   path, 0, prefix.size());
   }
   std::uint64_t n_local = 0;
-  std::uint64_t slots = 0;
+  std::uint64_t n = 0;
   std::uint64_t pairs = 0;
   std::memcpy(&n_local, prefix.data() + 8, 8);
-  std::memcpy(&slots, prefix.data() + 16, 8);
+  std::memcpy(&n, prefix.data() + 16, 8);
   std::memcpy(&pairs, prefix.data() + 24, 8);
-  if (n_local != meta.num_local() || slots != num_slots) {
+  if (n_local != meta.num_local() || n != num_vertices) {
     throw IoError(IoErrorKind::kCountMismatch,
                   "sidecar header (n_local=" + std::to_string(n_local) +
-                      ", slots=" + std::to_string(slots) +
+                      ", n=" + std::to_string(n) +
                       ") disagrees with manifest (n_local=" +
                       std::to_string(meta.num_local()) +
-                      ", slots=" + std::to_string(num_slots) + ")",
+                      ", n=" + std::to_string(num_vertices) + ")",
                   path, 0, 8);
   }
   if (pairs != meta.cut_pair_count) {
@@ -119,8 +115,13 @@ io::CsrFileShape parse_cut_header(std::span<const char> prefix,
                       std::to_string(meta.cut_pair_count),
                   path, 0, 24);
   }
-  return io::CsrFileShape{kCutHeaderBytes, n_local, pairs, num_slots,
-                          IoErrorKind::kIndexOutOfRange};
+  return io::CsrFileShape{.header_bytes = kCutHeaderBytes,
+                          .n = n_local,
+                          .m = pairs,
+                          .id_limit = num_vertices,
+                          .own_begin = meta.begin,
+                          .own_end = meta.end,
+                          .out_of_range_kind = IoErrorKind::kIndexOutOfRange};
 }
 
 }  // namespace
@@ -143,42 +144,32 @@ std::uint64_t ShardManifest::max_shard_csr_bytes() const {
 }
 
 void write_shard_cuts(const std::string& path, const Shard& shard,
-                      std::uint32_t num_slots) {
+                      graph::VertexId num_vertices) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     throw IoError(IoErrorKind::kOpenFailed, "cannot open for write", path);
   }
-  const std::uint64_t header[3] = {shard.num_local(), num_slots,
-                                   shard.cut_slots.size()};
+  const std::uint64_t header[3] = {shard.num_local(), num_vertices,
+                                   shard.cut_ids.size()};
   write_raw(out, kCutMagic.data(), kCutMagic.size(), path);
   write_raw(out, header, sizeof header, path);
   write_raw(out, shard.cut_offsets.data(),
             shard.cut_offsets.size() * sizeof(graph::EdgeOffset), path);
-  write_raw(out, shard.cut_slots.data(),
-            shard.cut_slots.size() * sizeof(std::uint32_t), path);
+  write_raw(out, shard.cut_ids.data(),
+            shard.cut_ids.size() * sizeof(graph::VertexId), path);
 }
 
-Shard read_shard_cuts(const ShardMeta& meta, std::uint32_t num_slots) {
+Shard read_shard_cuts(const ShardMeta& meta, graph::VertexId num_vertices) {
   io::CsrArrays cut = io::read_csr_arrays(
       meta.cut_path, kCutHeaderBytes,
       [&](std::span<const char> prefix, std::uint64_t /*total_bytes*/) {
-        return parse_cut_header(prefix, meta, num_slots);
+        return parse_cut_header(prefix, meta, num_vertices);
       });
   Shard shard;
   shard.begin = meta.begin;
   shard.end = meta.end;
-  shard.slot_begin = meta.slot_begin;
-  shard.publish = publish_list(cut.offsets);
-  if (shard.publish.size() != meta.boundary_count) {
-    throw IoError(IoErrorKind::kCountMismatch,
-                  std::to_string(shard.publish.size()) +
-                      " non-empty cut rows but the manifest declares " +
-                      std::to_string(meta.boundary_count) +
-                      " boundary vertices",
-                  meta.cut_path, 0, kCutHeaderBytes);
-  }
   shard.cut_offsets = std::move(cut.offsets);
-  shard.cut_slots = std::move(cut.ids);
+  shard.cut_ids = std::move(cut.ids);
   return shard;
 }
 
@@ -192,7 +183,6 @@ void write_sharded_snapshot(const std::string& manifest_path,
   out << kManifestBanner << '\n';
   out << "vertices " << sharded.num_vertices << '\n';
   out << "directed_edges " << sharded.num_directed_edges << '\n';
-  out << "slots " << sharded.num_slots() << '\n';
   out << "shards " << sharded.num_shards() << '\n';
   for (int k = 0; k < sharded.num_shards(); ++k) {
     const Shard& shard = sharded.shards[static_cast<std::size_t>(k)];
@@ -200,11 +190,11 @@ void write_sharded_snapshot(const std::string& manifest_path,
     const std::string cut_name = payload_name(manifest_path, k, ".cut");
     out << "shard " << shard.begin << ' ' << shard.end << ' '
         << shard.local.num_directed_edges() << ' '
-        << shard.cut_slots.size() << ' ' << shard.publish.size() << ' '
-        << csr_name << ' ' << cut_name << '\n';
+        << shard.cut_ids.size() << ' ' << csr_name << ' ' << cut_name
+        << '\n';
     io::write_csr_file(resolve(manifest_path, csr_name), shard.local);
     write_shard_cuts(resolve(manifest_path, cut_name), shard,
-                     sharded.num_slots());
+                     sharded.num_vertices);
   }
   if (!out) {
     throw IoError(IoErrorKind::kWriteFailed, "manifest write",
@@ -227,7 +217,9 @@ ShardManifest read_shard_manifest(const std::string& path) {
   };
 
   if (!next_line() || line != kManifestBanner) {
-    throw IoError(IoErrorKind::kBadMagic, "not a thrifty shard manifest",
+    throw IoError(IoErrorKind::kBadMagic,
+                  "not a v2 thrifty shard manifest; re-run graph_convert "
+                  "--shards to rewrite an older snapshot",
                   path, 1);
   }
 
@@ -242,7 +234,6 @@ ShardManifest read_shard_manifest(const std::string& path) {
   };
   const std::uint64_t n = header("vertices");
   const std::uint64_t m = header("directed_edges");
-  const std::uint64_t slots = header("slots");
   const std::uint64_t num_shards = header("shards");
 
   if (n > std::numeric_limits<graph::VertexId>::max()) {
@@ -251,22 +242,16 @@ ShardManifest read_shard_manifest(const std::string& path) {
                       " exceeds 32-bit vertex ids",
                   path, 2);
   }
-  if (slots > n) {
-    throw IoError(IoErrorKind::kHeaderBounds,
-                  "slot count exceeds vertex count", path, 4);
-  }
   if (num_shards < 1 || num_shards > std::max<std::uint64_t>(n, 1)) {
     throw IoError(IoErrorKind::kHeaderBounds,
                   "shard count " + std::to_string(num_shards) +
                       " outside [1, max(n, 1)]",
-                  path, 5);
+                  path, 4);
   }
   manifest.num_vertices = static_cast<graph::VertexId>(n);
   manifest.num_directed_edges = m;
-  manifest.num_slots = static_cast<std::uint32_t>(slots);
 
   std::uint64_t edge_sum = 0;
-  std::uint64_t boundary_sum = 0;
   for (std::uint64_t k = 0; k < num_shards; ++k) {
     if (!next_line()) {
       throw IoError(IoErrorKind::kTruncated,
@@ -283,12 +268,11 @@ ShardManifest read_shard_manifest(const std::string& path) {
     std::string cut_name;
     std::string extra;
     if (!(fields >> tag >> begin >> end >> meta.intra_edges >>
-          meta.cut_pair_count >> meta.boundary_count >> csr_name >>
-          cut_name) ||
+          meta.cut_pair_count >> csr_name >> cut_name) ||
         tag != "shard" || (fields >> extra)) {
       malformed(path, line_no,
-                "expected 'shard <begin> <end> <intra> <pairs> "
-                "<boundary> <csr> <cut>'");
+                "expected 'shard <begin> <end> <intra> <pairs> <csr> "
+                "<cut>'");
     }
     if (begin > end || end > n) {
       throw IoError(IoErrorKind::kInvariantViolation,
@@ -308,19 +292,11 @@ ShardManifest read_shard_manifest(const std::string& path) {
                         std::to_string(begin),
                     path, line_no);
     }
-    if (meta.boundary_count > end - begin) {
-      throw IoError(IoErrorKind::kCountMismatch,
-                    "boundary count exceeds shard size", path, line_no);
-    }
     meta.begin = static_cast<graph::VertexId>(begin);
     meta.end = static_cast<graph::VertexId>(end);
-    // Each boundary count is at most its range's size, so the sum so far
-    // is at most begin and fits 32 bits.
-    meta.slot_begin = static_cast<std::uint32_t>(boundary_sum);
     meta.csr_path = resolve(path, csr_name);
     meta.cut_path = resolve(path, cut_name);
     edge_sum += meta.intra_edges + meta.cut_pair_count;
-    boundary_sum += meta.boundary_count;
     manifest.shards.push_back(std::move(meta));
   }
   if (!manifest.shards.empty() &&
@@ -338,14 +314,6 @@ ShardManifest read_shard_manifest(const std::string& path) {
                       " but the manifest declares " + std::to_string(m),
                   path, line_no);
   }
-  if (boundary_sum != slots) {
-    throw IoError(IoErrorKind::kCountMismatch,
-                  "shard boundary counts sum to " +
-                      std::to_string(boundary_sum) +
-                      " but the manifest declares " +
-                      std::to_string(slots) + " slots",
-                  path, line_no);
-  }
   while (next_line()) {
     if (!line.empty()) {
       throw IoError(IoErrorKind::kTrailingGarbage,
@@ -354,33 +322,6 @@ ShardManifest read_shard_manifest(const std::string& path) {
     }
   }
   return manifest;
-}
-
-ShardedGraph load_sharded_graph(const ShardManifest& manifest,
-                                bool use_mmap) {
-  ShardedGraph sharded;
-  sharded.num_vertices = manifest.num_vertices;
-  sharded.num_directed_edges = manifest.num_directed_edges;
-  sharded.slot_vertex.resize(manifest.num_slots);
-  for (const ShardMeta& meta : manifest.shards) {
-    Shard shard = read_shard_cuts(meta, manifest.num_slots);
-    shard.local = io::read_csr_file_auto(meta.csr_path, use_mmap);
-    if (shard.local.num_vertices() != meta.num_local() ||
-        shard.local.num_directed_edges() != meta.intra_edges) {
-      throw IoError(IoErrorKind::kCountMismatch,
-                    "shard snapshot shape disagrees with manifest",
-                    meta.csr_path);
-    }
-    // The manifest's boundary counts sum to the slot count and each
-    // sidecar has exactly its count of non-empty rows, so the shards'
-    // publish runs tile the slot table.
-    for (std::size_t i = 0; i < shard.publish.size(); ++i) {
-      sharded.slot_vertex[shard.slot_begin + i] =
-          shard.begin + shard.publish[i];
-    }
-    sharded.shards.push_back(std::move(shard));
-  }
-  return sharded;
 }
 
 }  // namespace thrifty::shard

@@ -6,40 +6,36 @@
 //   graph.shards        text manifest (format below)
 //   graph.shard0.bin    shard 0's intra-CSR, a standard THRFTYG1
 //                       snapshot over shard-local ids
-//   graph.shard0.cut    shard 0's boundary sidecar (THRFTYS2): the
-//                       cut CSR
+//   graph.shard0.cut    shard 0's cut sidecar (THRFTYS3): the cut CSR
 //   graph.shard1.bin    ...
 //
 // The manifest is line-oriented text:
 //
-//   # thrifty shard manifest v1
+//   # thrifty shard manifest v2
 //   vertices <n>
 //   directed_edges <m>
-//   slots <num_slots>
 //   shards <K>
-//   shard <begin> <end> <intra_edges> <cut_pairs> <boundary> <csr> <cut>
+//   shard <begin> <end> <intra_edges> <cut_pairs> <csr> <cut>
 //   ... (exactly K shard lines)
 //
 // Payload paths are stored relative to the manifest's directory, so the
 // whole bundle can be moved as a unit.  Reading re-validates everything
-// with typed IoErrors: a bad banner is kBadMagic, an unparsable line is
-// kMalformedLine, missing shard lines are kTruncated, extra lines are
-// kTrailingGarbage, non-contiguous ranges are kInvariantViolation, and
-// sums that disagree with the header (edges, slots) are kCountMismatch.
+// with typed IoErrors: a bad banner (a v1 manifest included) is
+// kBadMagic, an unparsable line is kMalformedLine, missing shard lines
+// are kTruncated, extra lines are kTrailingGarbage, non-contiguous
+// ranges are kInvariantViolation, and an edge sum that disagrees with
+// the header is kCountMismatch.
 //
-// The cut sidecar is binary: an 8-byte magic "THRFTYS2", three u64
-// header fields (local vertex count, global slot count, cut-pair
-// count), then the cut CSR: n_local + 1 u64 offsets and one u32 slot per
-// cut pair.  It has no publish section: the publish list is the rows
-// with a non-empty cut row, and their slots run from the shard's
-// slot_begin, the sum of the boundary counts of the shards before it.
-// It is read like a THRFTYG1 snapshot (io::read_csr_arrays: parallel
-// pread chunks checked in cache) with the file size cross-checked
-// against the header before any allocation.  Offsets must start at 0,
-// rise monotonically and end at the pair count (kInvariantViolation),
-// slots must be below the slot count (kIndexOutOfRange), and the number
-// of non-empty rows must equal the manifest's boundary count
-// (kCountMismatch).
+// The cut sidecar is binary: an 8-byte magic "THRFTYS3", three u64
+// header fields (local vertex count, global vertex count n, cut-pair
+// count), then the cut CSR: n_local + 1 u64 offsets and one u32 global
+// vertex id per cut pair.  It is read like a THRFTYG1 snapshot
+// (io::read_csr_arrays: parallel pread chunks checked in cache) with the
+// file size cross-checked against the header before any allocation.
+// Offsets must start at 0, rise monotonically and end at the pair count
+// (kInvariantViolation), and every id must be below n and outside the
+// shard's own range (kIndexOutOfRange): the solver's boundary pull reads
+// those labels while it writes the shard's own.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +54,6 @@ struct ShardMeta {
   graph::VertexId end = 0;
   graph::EdgeOffset intra_edges = 0;
   std::uint64_t cut_pair_count = 0;
-  std::uint64_t boundary_count = 0;
-  /// First slot of this shard's boundary vertices: the boundary counts
-  /// of the shards before it, summed.
-  std::uint32_t slot_begin = 0;
   std::string csr_path;
   std::string cut_path;
 
@@ -74,7 +66,6 @@ struct ShardMeta {
 struct ShardManifest {
   graph::VertexId num_vertices = 0;
   graph::EdgeOffset num_directed_edges = 0;
-  std::uint32_t num_slots = 0;
   std::vector<ShardMeta> shards;
 
   [[nodiscard]] int num_shards() const {
@@ -98,24 +89,18 @@ void write_sharded_snapshot(const std::string& manifest_path,
 /// payload paths.  Payload files are *not* opened here.
 [[nodiscard]] ShardManifest read_shard_manifest(const std::string& path);
 
-/// Writes one shard's boundary sidecar.
+/// Writes one shard's cut sidecar; `num_vertices` is the global vertex
+/// count that bounds its ids.
 void write_shard_cuts(const std::string& path, const Shard& shard,
-                      std::uint32_t num_slots);
+                      graph::VertexId num_vertices);
 
-/// Reads and validates the boundary sidecar at `meta.cut_path` into a
-/// Shard with everything but its intra-CSR: range, publish list,
-/// slot_begin and cut CSR.  Header fields that disagree with `meta` or
-/// `num_slots` are kCountMismatch, so is a non-empty-row count other than
-/// the boundary count; an older THRFTYS1 file is kBadMagic.
+/// Reads and validates the cut sidecar at `meta.cut_path` into a Shard
+/// with everything but its intra-CSR: range and cut CSR.  Header fields
+/// that disagree with `meta` or `num_vertices` are kCountMismatch; an id
+/// at or above `num_vertices` or inside [meta.begin, meta.end) is
+/// kIndexOutOfRange at the byte of the first such id, the same at every
+/// thread count; an older THRFTYS1 or THRFTYS2 file is kBadMagic.
 [[nodiscard]] Shard read_shard_cuts(const ShardMeta& meta,
-                                    std::uint32_t num_slots);
-
-/// Rehydrates a full in-memory ShardedGraph from a manifest: loads every
-/// shard's intra-CSR (mmap-backed when `use_mmap`) and sidecar, and
-/// reconstructs the slot table from the publish lists.  The streaming
-/// solver does NOT use this — it windows shards through its
-/// StreamingProvider — but tests and graph_info do.
-[[nodiscard]] ShardedGraph load_sharded_graph(const ShardManifest& manifest,
-                                              bool use_mmap = true);
+                                    graph::VertexId num_vertices);
 
 }  // namespace thrifty::shard

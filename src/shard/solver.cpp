@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/thrifty.hpp"
-#include "io/binary_io.hpp"
 #include "io/mmap_io.hpp"
 #include "support/parallel.hpp"
 #include "support/simd.hpp"
@@ -23,8 +21,8 @@ using support::SimdLevel;
 
 namespace {
 
-/// Access layer the round loop runs against.  `shard(k)` (ranges, cut
-/// CSR, publish list — always cheap, resident for the whole solve) is
+/// Access layer the round loop runs against.  `shard(k)` (range and cut
+/// CSR — always cheap, resident for the whole solve) is
 /// deliberately separate from `csr(k)` (may hit disk and charge the
 /// residency budget), so a boundary pull that improves nothing can skip
 /// a shard without any I/O.
@@ -70,16 +68,17 @@ class StreamingProvider final : public ShardProvider {
   StreamingProvider(const ShardManifest& manifest,
                     const ShardedCcOptions& options)
       : manifest_(manifest),
-        use_mmap_(options.use_mmap && io::mmap_supported()),
         budget_(options.memory_budget_bytes == 0
                     ? 0
                     : std::max(options.memory_budget_bytes,
                                manifest.max_shard_csr_bytes())),
         resident_(manifest.shards.size()) {
+    load_timer_.start();
     skeletons_.reserve(manifest_.shards.size());
     for (const ShardMeta& meta : manifest_.shards) {
-      skeletons_.push_back(read_shard_cuts(meta, manifest_.num_slots));
+      skeletons_.push_back(read_shard_cuts(meta, manifest_.num_vertices));
     }
+    load_timer_.stop();
   }
 
   [[nodiscard]] int num_shards() const override {
@@ -115,6 +114,7 @@ class StreamingProvider final : public ShardProvider {
     stats.shard_loads = shard_loads_;
     stats.evictions = evictions_;
     stats.peak_window_bytes = peak_window_bytes_;
+    stats.load_ms = load_timer_.total_ms();
   }
 
  private:
@@ -125,6 +125,7 @@ class StreamingProvider final : public ShardProvider {
   void load(int k) {
     auto& slot = resident_[static_cast<std::size_t>(k)];
     if (slot) return;
+    load_timer_.start();
     // Make room first, so the window never exceeds the budget.  Nothing
     // holds a CSR reference across a load (prefetch never evicts), and
     // the budget holds the largest shard, so the loop always ends with
@@ -135,12 +136,7 @@ class StreamingProvider final : public ShardProvider {
       fifo_.pop_front();
     }
     const ShardMeta& meta = manifest_.shards[static_cast<std::size_t>(k)];
-    io::MappedCsr mapped;
-    if (use_mmap_) {
-      mapped = io::read_csr_mmap_region(meta.csr_path);
-    } else {
-      mapped.graph = io::read_csr_file(meta.csr_path);
-    }
+    io::MappedCsr mapped = io::read_csr_mmap_region(meta.csr_path);
     if (mapped.graph.num_vertices() != meta.num_local() ||
         mapped.graph.num_directed_edges() != meta.intra_edges) {
       throw io::IoError(io::IoErrorKind::kCountMismatch,
@@ -152,6 +148,7 @@ class StreamingProvider final : public ShardProvider {
     resident_bytes_ += charge(k);
     peak_window_bytes_ = std::max(peak_window_bytes_, resident_bytes_);
     ++shard_loads_;
+    load_timer_.stop();
   }
 
   void evict(int k) {
@@ -165,7 +162,6 @@ class StreamingProvider final : public ShardProvider {
   }
 
   const ShardManifest& manifest_;
-  bool use_mmap_;
   std::uint64_t budget_;
   std::vector<Shard> skeletons_;
   std::vector<std::optional<io::MappedCsr>> resident_;
@@ -174,6 +170,7 @@ class StreamingProvider final : public ShardProvider {
   std::uint64_t peak_window_bytes_ = 0;
   std::uint64_t shard_loads_ = 0;
   std::uint64_t evictions_ = 0;
+  support::AccumulatingTimer load_timer_;
 };
 
 /// In-place Gauss–Seidel pull sweeps over one shard's intra-CSR until
@@ -207,70 +204,48 @@ void local_sweeps(const graph::CsrGraph& local, Label* labels_base,
   }
 }
 
-/// Pulls the boundary table into the owned labels along the shard's cut
-/// CSR: owned[u] = min(owned[u], slot labels of u's cut row), skipping
-/// labels already 0 (Zero Convergence).  Each iteration writes only its
-/// own owned[u] and the table is read-only here, so no atomics are
-/// needed.  Returns whether any owned label dropped.
-bool pull_boundary(const Shard& shard, const Label* slot_labels,
-                   Label* owned, SimdLevel gather) {
+/// Pulls remote labels into the owned ones along the shard's cut CSR:
+/// owned[u] = min(owned[u], labels of u's cut row), skipping labels
+/// already 0 (Zero Convergence).  `labels` is the global label array.
+/// Cut ids lie outside the shard's range (partition_shards builds them
+/// so, read_shard_cuts checks it), so each iteration writes only its own
+/// owned[u] and reads only labels that no iteration writes: no atomics
+/// are needed.  Returns the number of owned labels lowered.
+std::uint64_t pull_boundary(const Shard& shard, Label* labels,
+                            SimdLevel gather) {
   const VertexId n_local = shard.num_local();
+  Label* owned = labels + shard.begin;
   const graph::EdgeOffset* offsets = shard.cut_offsets.data();
-  const std::uint32_t* slots = shard.cut_slots.data();
-  bool improved = false;
+  const VertexId* ids = shard.cut_ids.data();
+  std::uint64_t lowered = 0;
 #pragma omp parallel for num_threads(support::threads_for( \
-    shard.cut_slots.size())) schedule(dynamic, 1024) reduction(|| : improved)
+    shard.cut_ids.size())) schedule(dynamic, 1024) reduction(+ : lowered)
   for (VertexId u = 0; u < n_local; ++u) {
     const Label lv = owned[u];
     const std::size_t count = offsets[u + 1] - offsets[u];
     if (lv == 0 || count == 0) continue;
     const Label best = support::simd::min_gather_u32(
-        slot_labels, slots + offsets[u], count, lv, /*stop_at_zero=*/true,
-        gather);
+        labels, ids + offsets[u], count, lv, /*stop_at_zero=*/true, gather);
     if (best < lv) {
       owned[u] = best;
-      improved = true;
+      ++lowered;
     }
   }
-  return improved;
-}
-
-/// Publishes the shard's boundary labels that dropped below their slot.
-/// Returns the number of slots updated.
-std::uint64_t publish_boundary(const Shard& shard, const Label* owned,
-                               Label* slot_labels) {
-  const std::size_t count = shard.publish.size();
-  Label* own_slots = slot_labels + shard.slot_begin;
-  std::uint64_t updates = 0;
-#pragma omp parallel for num_threads(support::threads_for(count)) \
-    schedule(static) reduction(+ : updates)
-  for (std::size_t i = 0; i < count; ++i) {
-    const Label current = owned[shard.publish[i]];
-    if (current < own_slots[i]) {
-      own_slots[i] = current;
-      ++updates;
-    }
-  }
-  return updates;
+  return lowered;
 }
 
 ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
-                      std::uint32_t num_slots,
+                      std::uint64_t cut_pairs,
                       const ShardedCcOptions& options) {
   ShardedCcResult result;
   result.labels = core::make_label_array(num_vertices);
+  Label* labels = result.labels.data();
   const int num_shards = provider.num_shards();
   const SimdLevel simd_level = support::simd::effective_level();
-  const SimdLevel slot_gather =
-      support::simd::gather_level(simd_level, num_slots);
+  const SimdLevel gather =
+      support::simd::gather_level(simd_level, num_vertices);
   support::AccumulatingTimer sweep_timer;
   support::AccumulatingTimer exchange_timer;
-
-  // One label per boundary vertex.  Every slot is written by its
-  // owner's round-0 publish before any cut row reads it, so the
-  // sentinel is never observed.
-  std::vector<Label> slot_labels(
-      num_slots, std::numeric_limits<Label>::max());
 
   // ---- Round 0: independent local solves --------------------------
   for (int k = 0; k < num_shards; ++k) {
@@ -282,52 +257,41 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
     const core::CcResult local_result = core::thrifty_cc(local, options.cc);
     const std::vector<Label> canon =
         core::canonical_labels(local_result.label_span());
-    Label* owned = result.labels.data() + shard.begin;
+    Label* owned = labels + shard.begin;
     support::parallel_for(shard.num_local(), [&](VertexId u) {
       owned[u] = shard.begin + canon[u];
     });
     sweep_timer.stop();
-
-    exchange_timer.start();
-    publish_boundary(shard, owned, slot_labels.data());
-    exchange_timer.stop();
   }
   result.stats.rounds = 1;
 
-  // ---- Rounds 1..: pull / sweep / publish until no slot moves -----
-  // Each pull reads the slots' current labels, so a slot that an
-  // earlier shard republished this round is seen at once (Gauss–Seidel
+  // ---- Rounds 1..: pull / sweep until no pull lowers a label -------
+  // Each pull reads the current global labels, so a label that an
+  // earlier shard lowered this round is seen at once (Gauss–Seidel
   // across shards).
-  bool any_slot_changed = num_slots > 0;
-  while (any_slot_changed) {
-    any_slot_changed = false;
+  bool any_lowered = cut_pairs > 0;
+  while (any_lowered) {
+    any_lowered = false;
     for (int k = 0; k < num_shards; ++k) {
       const Shard& shard = provider.shard(k);
-      Label* owned = result.labels.data() + shard.begin;
 
-      // The cut CSR lives in RAM, so a pull that improves nothing skips
+      // The cut CSR lives in RAM, so a pull that lowers nothing skips
       // the shard without touching its intra-CSR.
       exchange_timer.start();
-      const bool improved =
-          pull_boundary(shard, slot_labels.data(), owned, slot_gather);
+      const std::uint64_t lowered = pull_boundary(shard, labels, gather);
       exchange_timer.stop();
-      if (!improved) {
+      if (lowered == 0) {
         ++result.stats.shards_skipped;
         continue;
       }
+      result.stats.boundary_updates += lowered;
+      any_lowered = true;
 
       const graph::CsrGraph& local = provider.csr(k);
       provider.prefetch(k + 1);
       sweep_timer.start();
-      local_sweeps(local, owned, simd_level);
+      local_sweeps(local, labels + shard.begin, simd_level);
       sweep_timer.stop();
-
-      exchange_timer.start();
-      const std::uint64_t updates =
-          publish_boundary(shard, owned, slot_labels.data());
-      exchange_timer.stop();
-      result.stats.boundary_updates += updates;
-      any_slot_changed = any_slot_changed || updates > 0;
     }
     ++result.stats.rounds;
   }
@@ -343,14 +307,14 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
 ShardedCcResult sharded_cc(const ShardedGraph& sharded,
                            const ShardedCcOptions& options) {
   InMemoryProvider provider(sharded);
-  return solve(provider, sharded.num_vertices, sharded.num_slots(),
+  return solve(provider, sharded.num_vertices, sharded.total_cut_pairs(),
                options);
 }
 
 ShardedCcResult sharded_cc(const ShardManifest& manifest,
                            const ShardedCcOptions& options) {
   StreamingProvider provider(manifest, options);
-  return solve(provider, manifest.num_vertices, manifest.num_slots,
+  return solve(provider, manifest.num_vertices, manifest.total_cut_pairs(),
                options);
 }
 

@@ -1,6 +1,7 @@
 // Out-of-core sharded connected components.
 //
-// The solve runs shard-by-shard over the decomposition of shard.hpp:
+// The solve runs shard-by-shard over the decomposition of shard.hpp,
+// against one global label array (the paper's unified labels):
 //
 //   Round 0   Every shard is solved *locally* with core::thrifty_cc,
 //             the paper's unified-label solver (Zero Planting at the
@@ -8,33 +9,34 @@
 //             driven push/pull).  The local labelling is
 //             canonicalised, so each owned vertex ends up labelled
 //             with the global id of the smallest vertex in its
-//             *shard-local* component, and every owned boundary
-//             vertex publishes that label into its slot of the global
-//             boundary-label table.
+//             *shard-local* component.
 //
-//   Round r   For every shard in turn: pull the boundary table into
-//             the owned labels along the shard's cut CSR (a parallel
-//             pull with simd::min_gather_u32, the kernel of the sweeps
+//   Round r   For every shard in turn: pull the global labels into the
+//             owned ones along the shard's cut CSR (a parallel pull
+//             with simd::min_gather_u32, the kernel of the sweeps
 //             below; owned labels already 0 are skipped, Zero
-//             Convergence).  The pull reads every slot's *current*
-//             label, so a slot an earlier shard republished in this
+//             Convergence).  The pull reads every remote label as it
+//             is *now*, so a label an earlier shard lowered in this
 //             round is seen at once — a Gauss–Seidel pass across
-//             shards.  A shard whose pull improves nothing is skipped
+//             shards.  A shard whose pull lowers nothing is skipped
 //             without touching its CSR, which is what saves I/O in the
 //             streaming path.  Otherwise run in-place Gauss–Seidel pull
 //             sweeps (simd::min_gather_u32 over the intra-CSR, same
 //             kernel and same relaxed-atomic label discipline as
 //             core/thrifty.cpp) until the shard reaches a local fixed
-//             point, then re-publish improved boundary labels.  The
-//             solve terminates when a round changes no slot.
+//             point.  The solve terminates after a round in which no
+//             pull lowered a label; it runs no such round when the
+//             decomposition has no cut pair.
 //
 // Convergence: labels only ever decrease, every label is the id of a
 // vertex in the same component (true initially, preserved by merges
 // and sweeps), and the label set is finite — so the process reaches a
-// fixed point.  At a fixed point no intra edge and no cut edge joins
-// differently-labelled vertices (cut edges appear in both endpoint
-// shards because the graph is symmetric), hence labels are constant
-// per component; the component's minimum vertex keeps its own id
+// fixed point.  A shard's labels change only while it is visited, so
+// after a round whose pulls lowered nothing no cut edge joins
+// differently-labelled vertices, and each shard's last visit left no
+// intra edge doing so (cut edges appear in both endpoint shards
+// because the graph is symmetric).  Hence labels are constant per
+// component; the component's minimum vertex keeps its own id
 // throughout, so that constant is the minimum id — exactly the
 // canonical labelling the union-find reference produces.
 //
@@ -44,6 +46,7 @@
 // once the current one is mapped, and before a load that would push the
 // resident window past the memory budget the oldest shards are evicted
 // FIFO — MADV_DONTNEED then munmap — so the window never exceeds it.
+// Where mmap is unavailable the shard CSRs are stream-read instead.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +66,6 @@ struct ShardedCcOptions {
   /// loaded).  Clamped up to the largest single shard — the sweep must
   /// be able to hold the shard it is working on.
   std::uint64_t memory_budget_bytes = 0;
-  /// Streaming variant: mmap shard CSRs (with prefetch/release hints)
-  /// rather than stream-reading them into heap copies.
-  bool use_mmap = true;
 };
 
 struct ShardedCcStats {
@@ -77,15 +77,20 @@ struct ShardedCcStats {
   std::uint64_t evictions = 0;
   /// Largest resident shard-CSR window, in bytes.
   std::uint64_t peak_window_bytes = 0;
-  /// Shard visits whose boundary pull improved nothing, skipped without
+  /// Shard visits whose boundary pull lowered nothing, skipped without
   /// touching the shard's CSR.
   std::uint64_t shards_skipped = 0;
-  /// Boundary-slot label updates across all rounds.
+  /// Owned labels that a boundary pull lowered, across all rounds: the
+  /// label traffic across the cut.
   std::uint64_t boundary_updates = 0;
   /// Time in shard-local work (round-0 solves + later pull sweeps).
   double sweep_ms = 0.0;
-  /// Time in the boundary exchange (boundary pulls + publishes).
+  /// Time in the boundary exchange (the boundary pulls).
   double exchange_ms = 0.0;
+  /// Streaming variant: time reading cut sidecars and loading shard
+  /// CSRs, prefetched loads and the evictions that make room included.
+  /// 0 for the in-memory variant, which loads nothing.
+  double load_ms = 0.0;
 };
 
 struct ShardedCcResult {

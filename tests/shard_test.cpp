@@ -14,8 +14,10 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cc_baselines/registry.hpp"
@@ -80,56 +82,60 @@ TEST(ShardPartition, IntraPlusCutEdgesAccountForEveryDirectedEdge) {
     std::uint64_t cut = 0;
     for (const Shard& shard : sharded.shards) {
       intra += shard.local.num_directed_edges();
-      cut += shard.cut_slots.size();
+      cut += shard.cut_ids.size();
     }
     EXPECT_EQ(intra + cut, g.num_directed_edges()) << "k=" << k;
     EXPECT_EQ(cut, sharded.total_cut_pairs()) << "k=" << k;
   }
 }
 
-TEST(ShardPartition, SlotTableIsAscendingAndPublishedExactlyOnce) {
+/// Index of the shard whose range holds `v`.
+std::size_t owner_of(const ShardedGraph& sharded, VertexId v) {
+  const auto it = std::upper_bound(
+      sharded.shards.begin(), sharded.shards.end(), v,
+      [](VertexId id, const Shard& shard) { return id < shard.end; });
+  return static_cast<std::size_t>(it - sharded.shards.begin());
+}
+
+/// Row `u` of a shard's cut CSR.
+std::span<const VertexId> cut_row(const Shard& shard, VertexId u) {
+  return {shard.cut_ids.data() + shard.cut_offsets[u],
+          static_cast<std::size_t>(shard.cut_offsets[u + 1] -
+                                   shard.cut_offsets[u])};
+}
+
+// A cut row lists exactly the remote neighbours of its vertex, by global
+// id, none of them inside the row's own shard (the boundary pull reads
+// them while it writes the shard's labels), and every cut pair (u, v)
+// appears mirrored as (v, u) in the shard that owns v.
+TEST(ShardPartition, CutIdsLieOutsideTheirShardAndMirrorAcrossTheCut) {
   const CsrGraph g = small_rmat();
   const ShardedGraph sharded = partition_shards(g, 5);
-  ASSERT_TRUE(std::is_sorted(sharded.slot_vertex.begin(),
-                             sharded.slot_vertex.end()));
-  ASSERT_TRUE(std::adjacent_find(sharded.slot_vertex.begin(),
-                                 sharded.slot_vertex.end()) ==
-              sharded.slot_vertex.end());
-  std::vector<int> published(sharded.slot_vertex.size(), 0);
-  std::uint32_t next_slot = 0;
+  ASSERT_GT(sharded.total_cut_pairs(), 0u);
   for (const Shard& shard : sharded.shards) {
-    // Each shard's boundary vertices own the next contiguous slot run.
-    EXPECT_EQ(shard.slot_begin, next_slot);
-    next_slot += static_cast<std::uint32_t>(shard.publish.size());
     ASSERT_EQ(shard.cut_offsets.size(), shard.num_local() + 1u);
-    ASSERT_EQ(shard.cut_offsets.back(), shard.cut_slots.size());
-    std::size_t i = 0;
+    ASSERT_EQ(shard.cut_offsets.back(), shard.cut_ids.size());
     for (VertexId u = 0; u < shard.num_local(); ++u) {
-      const bool has_cut = shard.cut_offsets[u + 1] > shard.cut_offsets[u];
-      // The publish list is exactly the rows with a non-empty cut row,
-      // and entry i maps slot slot_begin + i back to the owned vertex.
-      if (!has_cut) continue;
-      ASSERT_LT(i, shard.publish.size());
-      EXPECT_EQ(shard.publish[i], u);
-      const std::uint32_t slot =
-          shard.slot_begin + static_cast<std::uint32_t>(i);
-      ASSERT_LT(slot, sharded.num_slots());
-      EXPECT_EQ(sharded.slot_vertex[slot], shard.begin + u);
-      ++published[slot];
-      ++i;
+      const VertexId global = shard.begin + u;
+      std::vector<VertexId> remote;
+      for (const VertexId v : g.neighbors(global)) {
+        if (v < shard.begin || v >= shard.end) remote.push_back(v);
+      }
+      const auto row = cut_row(shard, u);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), remote.begin(),
+                             remote.end()))
+          << "vertex " << global;
+      for (const VertexId v : row) {
+        ASSERT_LT(v, sharded.num_vertices);
+        const std::size_t owner = owner_of(sharded, v);
+        ASSERT_NE(&sharded.shards[owner], &shard) << "vertex " << global;
+        const Shard& other = sharded.shards[owner];
+        const auto mirror = cut_row(other, v - other.begin);
+        EXPECT_NE(std::find(mirror.begin(), mirror.end(), global),
+                  mirror.end())
+            << "cut pair (" << global << ", " << v << ") has no mirror";
+      }
     }
-    EXPECT_EQ(i, shard.publish.size());
-    for (const std::uint32_t slot : shard.cut_slots) {
-      ASSERT_LT(slot, sharded.num_slots());
-      // A cut row points at *remote* slots: the slot's vertex must lie
-      // outside this shard's range.
-      const VertexId remote = sharded.slot_vertex[slot];
-      EXPECT_TRUE(remote < shard.begin || remote >= shard.end);
-    }
-  }
-  EXPECT_EQ(next_slot, sharded.num_slots());
-  for (std::size_t s = 0; s < published.size(); ++s) {
-    EXPECT_EQ(published[s], 1) << "slot " << s;
   }
 }
 
@@ -137,7 +143,6 @@ TEST(ShardPartition, SingleShardHasNoBoundary) {
   const CsrGraph g = small_rmat();
   const ShardedGraph sharded = partition_shards(g, 1);
   ASSERT_EQ(sharded.num_shards(), 1);
-  EXPECT_EQ(sharded.num_slots(), 0u);
   EXPECT_EQ(sharded.total_cut_pairs(), 0u);
   EXPECT_EQ(sharded.shards[0].local.num_directed_edges(),
             g.num_directed_edges());
@@ -154,20 +159,8 @@ TEST(ShardPartition, EmptyGraphYieldsOneEmptyShard) {
   const CsrGraph empty = graph::build_csr(graph::EdgeList{}, 0).graph;
   const ShardedGraph sharded = partition_shards(empty, 4);
   ASSERT_EQ(sharded.num_shards(), 1);
-  EXPECT_EQ(sharded.num_slots(), 0u);
+  EXPECT_EQ(sharded.total_cut_pairs(), 0u);
   EXPECT_EQ(sharded.shards[0].num_local(), 0u);
-}
-
-TEST(ShardPartition, ShardOfLocatesEveryVertex) {
-  const CsrGraph g = small_rmat();
-  const ShardedGraph sharded = partition_shards(g, 6);
-  for (VertexId v = 0; v < g.num_vertices(); v += 97) {
-    const int k = sharded.shard_of(v);
-    ASSERT_GE(k, 0);
-    ASSERT_LT(k, sharded.num_shards());
-    EXPECT_GE(v, sharded.shards[static_cast<std::size_t>(k)].begin);
-    EXPECT_LT(v, sharded.shards[static_cast<std::size_t>(k)].end);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -197,7 +190,7 @@ TEST(ShardedSolve, MatchesReferenceAcrossShardCounts) {
   // Cut CSRs of at least support::kSerialCutoff pairs: the boundary pull
   // runs as a parallel region.
   const CsrGraph large = small_rmat(13);
-  ASSERT_GE(partition_shards(large, 2).shards[0].cut_slots.size(),
+  ASSERT_GE(partition_shards(large, 2).shards[0].cut_ids.size(),
             support::kSerialCutoff);
   expect_matches_reference(large, 2);
 }
@@ -218,8 +211,8 @@ TEST(ShardedSolve, MatchesReferenceOnEveryScenarioFamily) {
 
 // Exchange accounting on the smallest cut: the path 0-1-2-3 splits
 // into {0,1} and {2,3}.  Round 0 labels the halves 0 and 2; round 1
-// merges slot 1's label 0 into shard 1, which republishes vertex 2
-// (the one boundary update); round 2 moves nothing and ends the solve.
+// pulls vertex 1's label 0 into vertex 2 (the one boundary update) and
+// sweeps it to vertex 3; round 2 lowers nothing and ends the solve.
 TEST(ShardedSolve, PathExchangeCountsRoundsAndBoundaryUpdates) {
   const CsrGraph g = graph::build_csr(gen::path_edges(4)).graph;
   const ShardedGraph sharded = partition_shards(g, 2);
@@ -236,10 +229,11 @@ TEST(ShardedSolve, PathExchangeCountsRoundsAndBoundaryUpdates) {
 // 1-0-4-3-5 plus 2-3.  The minimum's label 0 crosses forwards into
 // shard 2 (vertex 4, round 1), backwards into shard 1 (vertex 3, round
 // 2) and forwards again into shard 2 (vertex 5).  The last hop reads
-// vertex 3's slot in the round shard 1 republished it, so round 3
-// moves nothing and ends the solve; a pull that saw only the slots of
-// the round before would need a fifth round for it.
-TEST(ShardedSolve, BoundaryPullSeesSlotsRepublishedThisRound) {
+// vertex 3's label in the round shard 1 lowered it, so round 3 lowers
+// nothing and ends the solve; a pull that saw only the labels of the
+// round before would need a fifth round for it.  The four updates are
+// vertices 4 and 5 in round 1, then 3 and 5 in round 2.
+TEST(ShardedSolve, BoundaryPullSeesLabelsLoweredThisRound) {
   graph::EdgeList edges;
   edges.push_back({0, 1});
   edges.push_back({0, 4});
@@ -326,30 +320,27 @@ TEST_F(ShardTempDir, SnapshotRoundTripsExactly) {
   const ShardManifest manifest = read_shard_manifest(path("g.shards"));
   EXPECT_EQ(manifest.num_vertices, original.num_vertices);
   EXPECT_EQ(manifest.num_directed_edges, original.num_directed_edges);
-  EXPECT_EQ(manifest.num_slots, original.num_slots());
   ASSERT_EQ(manifest.num_shards(), original.num_shards());
   EXPECT_EQ(manifest.total_cut_pairs(), original.total_cut_pairs());
 
-  const ShardedGraph loaded = load_sharded_graph(manifest);
-  EXPECT_EQ(loaded.slot_vertex, original.slot_vertex);
   for (int k = 0; k < original.num_shards(); ++k) {
     const Shard& a = original.shards[static_cast<std::size_t>(k)];
-    const Shard& b = loaded.shards[static_cast<std::size_t>(k)];
+    const ShardMeta& meta = manifest.shards[static_cast<std::size_t>(k)];
+    const Shard b = read_shard_cuts(meta, manifest.num_vertices);
+    const CsrGraph local = io::read_csr_file(meta.csr_path);
     SCOPED_TRACE("shard " + std::to_string(k));
     EXPECT_EQ(a.begin, b.begin);
     EXPECT_EQ(a.end, b.end);
-    EXPECT_EQ(a.publish, b.publish);
-    EXPECT_EQ(a.slot_begin, b.slot_begin);
     EXPECT_EQ(a.cut_offsets, b.cut_offsets);
-    EXPECT_EQ(a.cut_slots, b.cut_slots);
-    ASSERT_EQ(a.local.num_vertices(), b.local.num_vertices());
-    ASSERT_EQ(a.local.num_directed_edges(), b.local.num_directed_edges());
+    EXPECT_EQ(a.cut_ids, b.cut_ids);
+    ASSERT_EQ(a.local.num_vertices(), local.num_vertices());
+    ASSERT_EQ(a.local.num_directed_edges(), local.num_directed_edges());
     EXPECT_TRUE(std::equal(a.local.offsets().begin(),
                            a.local.offsets().end(),
-                           b.local.offsets().begin()));
+                           local.offsets().begin()));
     EXPECT_TRUE(std::equal(a.local.neighbor_array().begin(),
                            a.local.neighbor_array().end(),
-                           b.local.neighbor_array().begin()));
+                           local.neighbor_array().begin()));
   }
 
   // Streaming solve over the manifest agrees with the in-memory solve.
@@ -375,6 +366,14 @@ TEST_F(ShardTempDir, ManifestCorruptionsRejectWithTypedKinds) {
 
   expect_kind("bad banner", "# not a manifest\n" + valid,
               IoErrorKind::kBadMagic);
+  {
+    // The slot-table format's banner: its sidecar ids were slots.
+    std::string v1 = valid;
+    const auto pos = v1.find("manifest v2");
+    ASSERT_EQ(pos, v1.find('\n') - 11);
+    v1.replace(pos, 11, "manifest v1");
+    expect_kind("v1 manifest", v1, IoErrorKind::kBadMagic);
+  }
 
   {
     // Drop the last shard line: fewer lines than the header promises.
@@ -424,7 +423,7 @@ TEST_F(ShardTempDir, ManifestCorruptionsRejectWithTypedKinds) {
 TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
   // Two shards of 300k vertices each with no intra edge: vertex i is
   // joined to remote vertices kHalf + i and kHalf + (i + 1) % kHalf, so
-  // shard 0's sidecar holds 2.4 MB of offsets and 2.4 MB of slots —
+  // shard 0's sidecar holds 2.4 MB of offsets and 2.4 MB of cut ids —
   // several read chunks of each, above the parallel-read size.
   constexpr VertexId kHalf = 300000;
   graph::EdgeList edges;
@@ -445,11 +444,20 @@ TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
 
   constexpr std::uint64_t kHeader = 32;
   const std::uint64_t pairs = meta.cut_pair_count;
-  const std::uint64_t slots_at = kHeader + (kHalf + 1) * 8ull;
+  const std::uint64_t ids_at = kHeader + (kHalf + 1) * 8ull;
   const std::uint64_t offsets_per_chunk = io::kSnapshotReadChunkBytes / 8;
   const auto with_u64 = [&](std::uint64_t at, std::uint64_t value) {
     std::string bytes = valid;
     std::memcpy(bytes.data() + at, &value, 8);
+    return bytes;
+  };
+  const auto id_at = [&](std::uint64_t e) { return ids_at + e * 4; };
+  const auto with_ids = [&](std::vector<std::pair<std::uint64_t, VertexId>>
+                                edits) {
+    std::string bytes = valid;
+    for (const auto& [e, id] : edits) {
+      std::memcpy(bytes.data() + id_at(e), &id, 4);
+    }
     return bytes;
   };
   const auto with_offset_bump = [&](std::uint64_t v) {
@@ -468,11 +476,17 @@ TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
     std::string bad_magic = valid;
     bad_magic[0] = 'X';
     cases.push_back({"bad magic", bad_magic, IoErrorKind::kBadMagic, 0});
-    std::string old_format = valid;
-    old_format[7] = '1';
-    cases.push_back({"THRFTYS1 file", old_format, IoErrorKind::kBadMagic, 0,
-                     "graph_convert --shards"});
+    for (const char version : {'1', '2'}) {
+      std::string old_format = valid;
+      old_format[7] = version;
+      cases.push_back({version == '1' ? "THRFTYS1 file" : "THRFTYS2 file",
+                       old_format, IoErrorKind::kBadMagic, 0,
+                       "graph_convert --shards"});
+    }
   }
+  cases.push_back({"global vertex count mismatch",
+                   with_u64(16, manifest.num_vertices + 1),
+                   IoErrorKind::kCountMismatch, 8});
   cases.push_back({"truncated", valid.substr(0, valid.size() - 3),
                    IoErrorKind::kTruncated, 8});
   cases.push_back({"trailing garbage", valid + "x",
@@ -490,19 +504,22 @@ TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
   cases.push_back({"offsets[n_local] != pairs",
                    with_u64(kHeader + kHalf * 8ull, pairs + 1),
                    IoErrorKind::kInvariantViolation, kHeader + kHalf * 8ull});
-  {
-    std::string bad_slot = valid;
-    const std::uint32_t slot = manifest.num_slots;
-    std::memcpy(bad_slot.data() + slots_at + (pairs - 1) * 4, &slot, 4);
-    cases.push_back({"slot >= num_slots placed last", bad_slot,
-                     IoErrorKind::kIndexOutOfRange,
-                     slots_at + (pairs - 1) * 4});
-  }
-  // offsets[1] = 0 empties row 0 and hands its pairs to row 1: still a
-  // valid CSR, but one non-empty row short of the boundary count.
-  cases.push_back({"non-empty rows != boundary count",
-                   with_u64(kHeader + 8, 0), IoErrorKind::kCountMismatch,
-                   kHeader});
+  const VertexId n = manifest.num_vertices;
+  const std::uint64_t ids_per_chunk = io::kSnapshotReadChunkBytes / 4;
+  cases.push_back({"cut id >= n placed last", with_ids({{pairs - 1, n}}),
+                   IoErrorKind::kIndexOutOfRange, id_at(pairs - 1)});
+  cases.push_back({"cut id inside the owner's range",
+                   with_ids({{ids_per_chunk + 5, kHalf - 1}}),
+                   IoErrorKind::kIndexOutOfRange, id_at(ids_per_chunk + 5),
+                   "own range"});
+  // Both kinds in one file: the error names whichever comes first.
+  cases.push_back({"own-range id before an id >= n",
+                   with_ids({{pairs - 1, n}, {ids_per_chunk + 5, 0}}),
+                   IoErrorKind::kIndexOutOfRange, id_at(ids_per_chunk + 5),
+                   "own range"});
+  cases.push_back({"id >= n before an own-range id",
+                   with_ids({{ids_per_chunk + 5, n}, {pairs - 1, 0}}),
+                   IoErrorKind::kIndexOutOfRange, id_at(ids_per_chunk + 5)});
 
   for (const Case& c : cases) {
     write_text(meta.cut_path, c.bytes);
@@ -510,7 +527,7 @@ TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
       const support::ThreadCountGuard guard(threads);
       SCOPED_TRACE(std::string(c.name) + ", t=" + std::to_string(threads));
       try {
-        (void)read_shard_cuts(meta, manifest.num_slots);
+        (void)read_shard_cuts(meta, manifest.num_vertices);
         ADD_FAILURE() << "accepted";
       } catch (const IoError& e) {
         EXPECT_EQ(e.kind(), c.kind);
@@ -520,9 +537,8 @@ TEST_F(ShardTempDir, CutSidecarCorruptionsRejectWithTypedKinds) {
     }
   }
   write_text(meta.cut_path, valid);
-  const Shard shard = read_shard_cuts(meta, manifest.num_slots);
-  EXPECT_EQ(shard.publish.size(), meta.boundary_count);
-  EXPECT_EQ(shard.cut_slots.size(), pairs);
+  const Shard shard = read_shard_cuts(meta, manifest.num_vertices);
+  EXPECT_EQ(shard.cut_ids.size(), pairs);
 }
 
 TEST_F(ShardTempDir, MissingPayloadFileIsTypedOpenFailed) {
@@ -531,7 +547,7 @@ TEST_F(ShardTempDir, MissingPayloadFileIsTypedOpenFailed) {
   const ShardManifest manifest = read_shard_manifest(path("g.shards"));
   std::filesystem::remove(manifest.shards[1].csr_path);
   try {
-    (void)load_sharded_graph(manifest);
+    (void)sharded_cc(manifest);
     FAIL() << "expected IoError";
   } catch (const IoError& e) {
     EXPECT_EQ(e.kind(), IoErrorKind::kOpenFailed);
@@ -561,6 +577,7 @@ TEST_F(ShardTempDir, TightBudgetEvictsAndStillMatchesReference) {
   const ShardedCcResult result = sharded_cc(manifest, options);
   EXPECT_TRUE(core::same_partition(result.label_span(), reference));
   EXPECT_GT(result.stats.evictions, 0u);
+  EXPECT_GT(result.stats.load_ms, 0.0);
   EXPECT_GT(result.stats.shard_loads,
             static_cast<std::uint64_t>(manifest.num_shards()));
   // Eviction runs before each load, so the window never exceeds the
@@ -576,12 +593,8 @@ TEST_F(ShardTempDir, TightBudgetEvictsAndStillMatchesReference) {
   EXPECT_EQ(roomy.stats.shard_loads,
             static_cast<std::uint64_t>(manifest.num_shards()));
 
-  // The stream-read (no-mmap) path is equivalent.
-  ShardedCcOptions no_mmap = options;
-  no_mmap.use_mmap = false;
-  const ShardedCcResult streamed = sharded_cc(manifest, no_mmap);
-  EXPECT_TRUE(core::same_partition(streamed.label_span(), reference));
-  EXPECT_GT(streamed.stats.evictions, 0u);
+  // The in-memory variant loads nothing.
+  EXPECT_EQ(sharded_cc(sharded).stats.load_ms, 0.0);
 }
 
 // Four disjoint 50-cliques in four equal shards under a one-shard budget:
@@ -603,7 +616,7 @@ TEST_F(ShardTempDir, PrefetchLoadsNothingTheNextLoadEvicts) {
     ASSERT_EQ(sharded.shards[static_cast<std::size_t>(k)].begin,
               static_cast<VertexId>(k) * kClique);
   }
-  ASSERT_EQ(sharded.num_slots(), 0u);
+  ASSERT_EQ(sharded.total_cut_pairs(), 0u);
   write_sharded_snapshot(path("g.shards"), sharded);
   const ShardManifest manifest = read_shard_manifest(path("g.shards"));
 

@@ -118,10 +118,8 @@ int run(int argc, char** argv) {
         shard::partition_shards(g, static_cast<int>(shards));
     shard::write_sharded_snapshot(output, sharded);
     std::fprintf(
-        stderr,
-        "written: %s (%d shard(s), %u boundary slot(s), %llu cut "
-        "pair(s))\n",
-        output.c_str(), sharded.num_shards(), sharded.num_slots(),
+        stderr, "written: %s (%d shard(s), %llu cut pair(s))\n",
+        output.c_str(), sharded.num_shards(),
         static_cast<unsigned long long>(sharded.total_cut_pairs()));
     return 0;
   }

@@ -146,14 +146,10 @@ int run_shards(const std::string& path) {
               static_cast<unsigned long long>(
                   manifest.num_directed_edges),
               manifest.num_shards());
-  const double n = std::max<double>(1.0, manifest.num_vertices);
   const double m =
       std::max<double>(1.0,
                        static_cast<double>(manifest.num_directed_edges));
-  std::printf("boundary:    %u slot(s) (%.2f%% of vertices), %llu cut "
-              "pair(s) (%.2f%% of directed edges)\n",
-              manifest.num_slots,
-              100.0 * manifest.num_slots / n,
+  std::printf("cut:         %llu pair(s) (%.2f%% of directed edges)\n",
               static_cast<unsigned long long>(manifest.total_cut_pairs()),
               100.0 * static_cast<double>(manifest.total_cut_pairs()) / m);
   std::printf("resident:    max shard CSR %.1f MiB (minimum streaming "
@@ -163,12 +159,10 @@ int run_shards(const std::string& path) {
   for (int k = 0; k < manifest.num_shards(); ++k) {
     const shard::ShardMeta& meta =
         manifest.shards[static_cast<std::size_t>(k)];
-    std::printf("  shard %-3d  [%u, %u)  intra %llu  cut %llu  "
-                "boundary %llu  %.1f MiB\n",
+    std::printf("  shard %-3d  [%u, %u)  intra %llu  cut %llu  %.1f MiB\n",
                 k, meta.begin, meta.end,
                 static_cast<unsigned long long>(meta.intra_edges),
                 static_cast<unsigned long long>(meta.cut_pair_count),
-                static_cast<unsigned long long>(meta.boundary_count),
                 static_cast<double>(meta.csr_bytes()) / (1024.0 * 1024.0));
   }
   return 0;

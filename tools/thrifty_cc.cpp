@@ -83,10 +83,11 @@ int finish_sharded(const tools::ArgParser& args,
               static_cast<unsigned long long>(
                   core::count_components(result.label_span())),
               solve_ms, num_shards, result.stats.rounds);
-  std::printf("shards: sweep %.2f ms, exchange %.2f ms, loads %llu, "
-              "evictions %llu, peak window %.1f MiB, skipped %llu, "
-              "boundary updates %llu\n",
+  std::printf("shards: sweep %.2f ms, exchange %.2f ms, load %.2f ms, "
+              "loads %llu, evictions %llu, peak window %.1f MiB, skipped "
+              "%llu, boundary updates %llu\n",
               result.stats.sweep_ms, result.stats.exchange_ms,
+              result.stats.load_ms,
               static_cast<unsigned long long>(result.stats.shard_loads),
               static_cast<unsigned long long>(result.stats.evictions),
               static_cast<double>(result.stats.peak_window_bytes) /
